@@ -1,6 +1,6 @@
 """Numerical laboratory for spectra of kernel-truncated covariance matrices.
 
-Builds seeded random ensembles (data matrices, geometric-graph Laplacians,
+Builds seeded random ensembles (data matrices, geometric-graph degrees,
 truncated covariance matrices), extracts empirical spectra, evaluates the
 predicted limiting laws (Marchenko-Pastur, generalized Marchenko-Pastur via a
 Stieltjes fixed point, semicircle), and compares simulation against theory.
@@ -8,11 +8,10 @@ Stieltjes fixed point, semicircle), and compares simulation against theory.
 
 from .ensemble import (
     DataMatrix,
-    GraphMatrices,
     KernelSpec,
+    adjacency_stream,
     alpha_p,
     beta_p_sq,
-    build_graph_matrices,
     derive_seed,
     expected_mean_eigenvalue,
     indicator_radius_from_beta,
@@ -21,8 +20,6 @@ from .ensemble import (
     pair_kernel_moment,
     sample_data_matrix,
     truncated_covariance,
-    truncated_covariance_direct,
-    truncated_covariance_rayleigh,
     xi_bar_matrix,
     xi_conditional,
     xi_prime,

@@ -213,12 +213,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (SolverError, InversionQualityError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, InversionQualityError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

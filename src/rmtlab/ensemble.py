@@ -1,9 +1,9 @@
 # Seeded construction of the random objects under study: data matrices,
-# kernel adjacency/Laplacian matrices, and the truncated covariance matrices
-# whose spectra the rest of the library analyses.
+# kernel adjacency degrees, and the truncated covariance matrices whose
+# spectra the rest of the library analyses.
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -42,6 +42,18 @@ class DataMatrix:
             raise ValueError("entries shape does not match (p, n)")
 
 
+def draw_entries(rng, entry_law, sigma, shape):
+    """I.i.d. centered entries with variance sigma^2, drawn from `rng`."""
+    if entry_law == "gaussian":
+        return sigma * rng.standard_normal(shape)
+    if entry_law == "rademacher":
+        return sigma * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+    if entry_law == "uniform_centered":  # on [-sqrt(3) sigma, sqrt(3) sigma]
+        half = np.sqrt(3.0) * sigma
+        return rng.uniform(-half, half, shape)
+    raise ValueError(f"unknown entry_law {entry_law!r}; choose from {ENTRY_LAWS}")
+
+
 def sample_data_matrix(p, n, entry_law="gaussian", sigma=1.0, seed=0):
     """Draw a p x n matrix of i.i.d. centered entries with variance sigma^2.
 
@@ -51,16 +63,7 @@ def sample_data_matrix(p, n, entry_law="gaussian", sigma=1.0, seed=0):
         raise ValueError(f"p and n must be positive, got p={p}, n={n}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if entry_law not in ENTRY_LAWS:
-        raise ValueError(f"unknown entry_law {entry_law!r}; choose from {ENTRY_LAWS}")
-    rng = rng_from_seed(seed)
-    if entry_law == "gaussian":
-        W = sigma * rng.standard_normal((p, n))
-    elif entry_law == "rademacher":
-        W = sigma * (2.0 * rng.integers(0, 2, size=(p, n)) - 1.0)
-    else:  # uniform_centered on [-sqrt(3) sigma, sqrt(3) sigma]
-        half = np.sqrt(3.0) * sigma
-        W = rng.uniform(-half, half, size=(p, n))
+    W = draw_entries(rng_from_seed(seed), entry_law, sigma, (p, n))
     return DataMatrix(entries=W, p=p, n=n, entry_law=entry_law,
                       sigma=float(sigma), seed=int(seed))
 
@@ -156,69 +159,18 @@ def indicator_radius_from_z_alpha(z_alpha, sigma, p):
 
 
 # ---------------------------------------------------------------------------
-# Graph matrices and truncated covariance
+# Kernel adjacency stream and truncated covariance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphMatrices:
-    """Weighted adjacency A (zero diagonal), degree matrix D, Laplacian L."""
+def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
+    """Degrees deg = A 1 and W A W^T of the adjacency A_ij = K(X_i, X_j)
+    (zero diagonal) without materialising A.
 
-    A: np.ndarray
-    D: np.ndarray
-    L: np.ndarray
-
-
-def build_graph_matrices(X: DataMatrix, K: KernelSpec) -> GraphMatrices:
-    """Adjacency A_ij = K(X_i, X_j) for i != j, degree D and Laplacian L = D - A."""
-    if K.dimension != X.p:
-        raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
-    A = K.gram(X.entries)
-    np.fill_diagonal(A, 0.0)
-    A = 0.5 * (A + A.T)  # exact symmetry against fp round-off in the Gram trick
-    deg = A.sum(axis=1)
-    D = np.diag(deg)
-    L = D - A
-    return GraphMatrices(A=A, D=D, L=L)
-
-
-def truncated_covariance_direct(X: DataMatrix, K: KernelSpec):
-    """M = (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
-
-    Literal pair-sum accumulation; independent of the Laplacian route.
+    Streams column blocks of A, so memory stays O(n * block).
     """
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     W, p, n = X.entries, X.p, X.n
-    M = np.zeros((p, p))
-    if n == 1:
-        return M
-    A = K.gram(W)
-    for i in range(n):
-        diffs = W - W[:, i:i + 1]  # p x n, column j = X_j - X_i
-        M += (diffs * A[i]) @ diffs.T
-    M /= 2.0 * n**2
-    return 0.5 * (M + M.T)
-
-
-def truncated_covariance_rayleigh(X: DataMatrix, G: GraphMatrices):
-    """Rayleigh-quotient form M = X L X^T / n^2 (algebraically equal to direct)."""
-    if G.L.shape[0] != X.n:
-        raise ValueError(f"Laplacian size {G.L.shape[0]} != sample size {X.n}")
-    M = X.entries @ G.L @ X.entries.T / X.n**2
-    return 0.5 * (M + M.T)
-
-
-def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):
-    """M = X L X^T / n^2 without materialising the full n x n adjacency.
-
-    Streams column blocks of A; matches truncated_covariance_rayleigh to
-    round-off and keeps memory O(n * block) for large n.
-    """
-    if K.dimension != X.p:
-        raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
-    W, p, n = X.entries, X.p, X.n
-    if n <= block:
-        return truncated_covariance_rayleigh(X, build_graph_matrices(X, K))
     sqn = np.einsum("ij,ij->j", W, W)
     deg = np.zeros(n)
     XA = np.zeros((p, n))
@@ -231,7 +183,16 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):
         Ablk[np.arange(lo, hi), np.arange(hi - lo)] = 0.0
         deg[lo:hi] = Ablk.sum(axis=0)
         XA[:, lo:hi] = W @ Ablk
-    M = ((W * deg) @ W.T - XA @ W.T) / n**2
+    return deg, XA @ W.T
+
+
+def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):
+    """M = X L X^T / n^2 = ((W deg) W^T - W A W^T) / n^2 with L = diag(deg) - A,
+    equal to the pair sum (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
+    """
+    deg, xaxt = adjacency_stream(X, K, block)
+    W = X.entries
+    M = ((W * deg) @ W.T - xaxt) / X.n**2
     return 0.5 * (M + M.T)
 
 
@@ -251,14 +212,8 @@ def _kernel_moment_mc(K, entry_law, sigma, power, mc_samples, seed):
     chunk = max(1, min(mc_samples, 10**7 // max(p, 1)))
     while done < mc_samples:
         m = min(chunk, mc_samples - done)
-        if entry_law == "gaussian":
-            D = sigma * (rng.standard_normal((p, m)) - rng.standard_normal((p, m)))
-        elif entry_law == "rademacher":
-            D = sigma * (2.0 * rng.integers(0, 2, (p, m)) - 1.0
-                         - (2.0 * rng.integers(0, 2, (p, m)) - 1.0))
-        else:
-            half = np.sqrt(3.0) * sigma
-            D = rng.uniform(-half, half, (p, m)) - rng.uniform(-half, half, (p, m))
+        D = draw_entries(rng, entry_law, sigma, (p, m)) \
+            - draw_entries(rng, entry_law, sigma, (p, m))
         sq = np.einsum("ij,ij->j", D, D)
         vals = K.eval_sqdist(sq) ** power
         total += vals.sum()
@@ -354,23 +309,14 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     chunk = max(1, min(mc_samples, 10**7 // max(p, 1)))
     while done < mc_samples:
         m = min(chunk, mc_samples - done)
-        X1 = _draw_entries(rng, entry_law, sigma, p, m)
-        V = _draw_entries(rng, entry_law, sigma, p, m)
-        Vp = _draw_entries(rng, entry_law, sigma, p, m)
+        X1 = draw_entries(rng, entry_law, sigma, (p, m))
+        V = draw_entries(rng, entry_law, sigma, (p, m))
+        Vp = draw_entries(rng, entry_law, sigma, (p, m))
         k1 = K.eval_sqdist(np.einsum("ij,ij->j", X1 - V, X1 - V))
         k2 = K.eval_sqdist(np.einsum("ij,ij->j", X1 - Vp, X1 - Vp))
         total += float(np.sum(k1 * k2))
         done += m
     return total / mc_samples
-
-
-def _draw_entries(rng, entry_law, sigma, p, m):
-    if entry_law == "gaussian":
-        return sigma * rng.standard_normal((p, m))
-    if entry_law == "rademacher":
-        return sigma * (2.0 * rng.integers(0, 2, (p, m)) - 1.0)
-    half = np.sqrt(3.0) * sigma
-    return rng.uniform(-half, half, (p, m))
 
 
 def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
@@ -400,8 +346,8 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
     chunk = max(1, min(mc_samples, 10**7 // max(p, 1)))
     while done < mc_samples:
         m = min(chunk, mc_samples - done)
-        D = _draw_entries(rng, entry_law, sigma, p, m) \
-            - _draw_entries(rng, entry_law, sigma, p, m)
+        D = draw_entries(rng, entry_law, sigma, (p, m)) \
+            - draw_entries(rng, entry_law, sigma, (p, m))
         sq = np.einsum("ij,ij->j", D, D)
         total += float(np.sum(K.eval_sqdist(sq) * sq))
         done += m
@@ -430,14 +376,7 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
     if mc_conditional < 100:
         raise ValueError("mc_conditional must be >= 100")
     rng = rng_from_seed(seed, stream=(0xD1A6,))
-    p = X.p
-    if X.entry_law == "gaussian":
-        V = X.sigma * rng.standard_normal((p, mc_conditional))
-    elif X.entry_law == "rademacher":
-        V = X.sigma * (2.0 * rng.integers(0, 2, (p, mc_conditional)) - 1.0)
-    else:
-        half = np.sqrt(3.0) * X.sigma
-        V = rng.uniform(-half, half, (p, mc_conditional))
+    V = draw_entries(rng, X.entry_law, X.sigma, (X.p, mc_conditional))
     return K.gram(X.entries, V).mean(axis=1)
 
 
@@ -453,6 +392,5 @@ def xi_prime(X: DataMatrix, K: KernelSpec, xi=None, mc_conditional=2000, seed=0)
     """xi'_i = sum_{j != i} (K(X_i, X_j) - xi_i) = deg_i - (n - 1) xi_i."""
     if xi is None:
         xi = xi_conditional(X, K, mc_conditional, seed)
-    G = build_graph_matrices(X, K)
-    deg = G.A.sum(axis=1)
+    deg, _ = adjacency_stream(X, K)
     return deg - (X.n - 1) * xi

@@ -6,7 +6,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -489,15 +489,15 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
                 if kernel_variant == "indicator" else None)
             X = ensemble.sample_data_matrix(p, n, "gaussian", sigma,
                                             ensemble.derive_seed(seed, p))
-            G = ensemble.build_graph_matrices(X, K)
-            M = ensemble.truncated_covariance_rayleigh(X, G)
+            deg, xaxt = ensemble.adjacency_stream(X, K)
+            M = ((X.entries * deg) @ X.entries.T - xaxt) / n**2
+            xaxt /= n**2
             xi = ensemble.xi_conditional(X, K, mc_conditional, seed)
             Mbar = (X.entries * xi) @ X.entries.T / n
             w2 = spectra.wasserstein2(
                 spectra.esd(spectra.symmetric_eigenvalues(M)),
                 spectra.esd(spectra.symmetric_eigenvalues(Mbar)))
-            xi_pr = G.A.sum(axis=1) - (n - 1) * xi
-            xaxt = X.entries @ G.A @ X.entries.T / n**2
+            xi_pr = deg - (n - 1) * xi
             rows.append({
                 "p": p, "n": n, "seed": int(seed), "w2_m_mbar": w2,
                 "max_xi_prime_over_n": float(np.max(np.abs(xi_pr)) / n),

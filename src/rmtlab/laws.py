@@ -2,11 +2,13 @@
 # distribution of the conditional kernel mean, the fixed-point solver for the
 # generalized Marchenko-Pastur Stieltjes transform, and inversion to densities.
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy.stats import norm
+
+from .ensemble import draw_entries
 
 
 class SolverError(RuntimeError):
@@ -242,17 +244,6 @@ def d_moments(d="squared_difference", entry_law="gaussian", sigma=1.0,
     return _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr)
 
 
-def _draw_entries(rng, entry_law, sigma, size):
-    if entry_law == "gaussian":
-        return sigma * rng.standard_normal(size)
-    if entry_law == "rademacher":
-        return sigma * (2.0 * rng.integers(0, 2, size) - 1.0)
-    if entry_law == "uniform_centered":
-        half = np.sqrt(3.0) * sigma
-        return rng.uniform(-half, half, size)
-    raise ValueError(f"unknown entry_law {entry_law!r}")
-
-
 def _d_eval(d, x, y):
     if d == "squared_difference":
         return (x - y) ** 2
@@ -267,8 +258,8 @@ def _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD,)))
     n_outer = max(200, int(np.sqrt(mc_samples)))
     n_inner = max(200, mc_samples // n_outer)
-    v = _draw_entries(rng, entry_law, sigma, n_outer)
-    w = _draw_entries(rng, entry_law, sigma, (n_outer, n_inner))
+    v = draw_entries(rng, entry_law, sigma, n_outer)
+    w = draw_entries(rng, entry_law, sigma, (n_outer, n_inner))
     vals = _d_eval(d, v[:, None], w)
     cond_mean = vals.mean(axis=1)
     cond_var = vals.var(axis=1, ddof=1)
@@ -381,14 +372,18 @@ def solve_stieltjes_grid(z_grid, c, sigma, zeta: ZetaDistribution,
 # ---------------------------------------------------------------------------
 
 def stieltjes_invert(s_fn, x_grid, v):
-    """Density approximation f(x) = Im s(x + i v) / pi on a real grid."""
+    """Density approximation f(x) = Im s(x + i v) / pi on a real grid.
+
+    Raises InversionQualityError when f dips below -1e-8.
+    """
     if v <= 0:
         raise ValueError("v must be positive")
     x = np.asarray(x_grid, dtype=float)
     s = np.asarray(s_fn(x + 1j * v), dtype=complex)
     f = s.imag / np.pi
     if f.min() < -1e-8:
-        raise ValueError(f"inversion produced density < -1e-8 ({f.min():.3e})")
+        raise InversionQualityError(
+            f"inversion produced density < -1e-8 ({f.min():.3e})")
     return np.maximum(f, 0.0)
 
 

@@ -9,12 +9,15 @@ import numpy as np
 def symmetric_eigenvalues(S, sym_tol=1e-10):
     """All eigenvalues of a real symmetric matrix, ascending.
 
-    Rejects matrices that are non-square or asymmetric beyond `sym_tol`
-    relative; symmetrizes (S + S^T)/2 before the solve.
+    Rejects matrices that are non-square, hold a non-finite entry, or are
+    asymmetric beyond `sym_tol` relative; symmetrizes (S + S^T)/2 before the
+    solve.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
+    if not np.isfinite(S).all():
+        raise ValueError("matrix has non-finite entries")
     scale = np.linalg.norm(S)
     if scale > 0 and np.linalg.norm(S - S.T) > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")

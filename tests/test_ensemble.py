@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 import rmtlab as R
+from oracle import truncated_covariance_direct
 from rmtlab.ensemble import (
     KernelSpec,
     _kernel_moment_mc,
-    build_graph_matrices,
+    adjacency_stream,
     pairwise_sqdist,
     sample_data_matrix,
     truncated_covariance,
-    truncated_covariance_direct,
-    truncated_covariance_rayleigh,
 )
 
 
@@ -64,37 +63,44 @@ def test_derive_seed_reproducible_and_distinct():
 
 
 # ---------------------------------------------------------------------------
-# kernels and graph matrices
+# kernels and the adjacency stream
 # ---------------------------------------------------------------------------
 
 def test_constant_kernel_graph_n3():
     X = sample_data_matrix(4, 3, seed=0)
-    G = build_graph_matrices(X, KernelSpec(variant="constant", dimension=4))
-    J = np.ones((3, 3))
-    assert np.array_equal(G.A, J - np.eye(3))
-    assert np.allclose(G.L, 3 * np.eye(3) - J)
+    deg, xaxt = adjacency_stream(X, KernelSpec(variant="constant", dimension=4))
+    W = X.entries
+    assert np.array_equal(deg, np.full(3, 2.0))
+    assert np.allclose(xaxt, W @ (np.ones((3, 3)) - np.eye(3)) @ W.T)
 
 
 def test_zero_radius_gives_empty_graph():
     X = sample_data_matrix(5, 6, seed=1)
-    G = build_graph_matrices(X, KernelSpec(variant="indicator", dimension=5,
-                                           radius=0.0))
-    assert not G.A.any()
-    assert not G.L.any()
+    K = KernelSpec(variant="indicator", dimension=5, radius=0.0)
+    deg, xaxt = adjacency_stream(X, K)
+    assert not deg.any()
+    assert not xaxt.any()
+    assert not truncated_covariance(X, K).any()
 
 
 def test_laplacian_identities():
     X = sample_data_matrix(6, 4, seed=2)
-    G = build_graph_matrices(X, KernelSpec(variant="gaussian", dimension=6,
-                                           tau=1.0))
-    assert np.allclose(G.L @ np.ones(4), 0.0, atol=1e-12)
-    assert np.linalg.eigvalsh(G.L).min() >= -1e-10
+    K = KernelSpec(variant="gaussian", dimension=6, tau=1.0)
+    deg, _ = adjacency_stream(X, K)
+    A = K.gram(X.entries)
+    np.fill_diagonal(A, 0.0)
+    assert np.allclose(deg, A.sum(axis=1), rtol=1e-12, atol=1e-14)
+    M = truncated_covariance(X, K)
+    assert np.linalg.eigvalsh(M).min() >= -1e-10 * np.linalg.norm(M)
 
 
 def test_graph_dimension_mismatch():
     X = sample_data_matrix(5, 6, seed=1)
+    K = KernelSpec(variant="constant", dimension=4)
     with pytest.raises(ValueError):
-        build_graph_matrices(X, KernelSpec(variant="constant", dimension=4))
+        adjacency_stream(X, K)
+    with pytest.raises(ValueError):
+        truncated_covariance(X, K)
 
 
 def test_kernel_spec_validation():
@@ -138,7 +144,7 @@ def test_radius_parametrizations_are_inverse():
 
 def test_constant_kernel_is_centered_sample_covariance():
     X = sample_data_matrix(8, 30, seed=3)
-    M = truncated_covariance_direct(X, KernelSpec(variant="constant", dimension=8))
+    M = truncated_covariance(X, KernelSpec(variant="constant", dimension=8))
     W = X.entries
     centered = W - W.mean(axis=1, keepdims=True)
     S = centered @ centered.T / 30
@@ -147,7 +153,7 @@ def test_constant_kernel_is_centered_sample_covariance():
 
 def test_single_sample_gives_zero():
     X = sample_data_matrix(4, 1, seed=0)
-    M = truncated_covariance_direct(X, KernelSpec(variant="constant", dimension=4))
+    M = truncated_covariance(X, KernelSpec(variant="constant", dimension=4))
     assert not M.any()
 
 
@@ -166,32 +172,33 @@ def test_direct_matches_brute_force_double_sum():
     assert np.allclose(M, M_ref, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("variant,extra", [
-    ("constant", {}),
-    ("indicator", {"radius": 9.0}),
-    ("gaussian", {"tau": 0.8}),
+KERNELS = {
+    "constant": {},
+    "indicator": {"radius": 9.0},
+    "gaussian": {"tau": 0.8},
+    "custom": {"profile": lambda sq: 1.0 / (1.0 + sq / 50.0)},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(KERNELS))
+@pytest.mark.parametrize("n,block", [
+    (100, 2048),  # one block
+    (100, 25),    # blocks that divide n
+    (100, 64),    # a ragged last block
+    (1, 2048),
 ])
-def test_rayleigh_equals_direct(variant, extra):
-    X = sample_data_matrix(50, 100, seed=11)
-    K = KernelSpec(variant=variant, dimension=50, **extra)
+def test_streamed_equals_pair_sum(variant, n, block):
+    X = sample_data_matrix(50, n, seed=11)
+    K = KernelSpec(variant=variant, dimension=50, **KERNELS[variant])
     M1 = truncated_covariance_direct(X, K)
-    M2 = truncated_covariance_rayleigh(X, build_graph_matrices(X, K))
+    M2 = truncated_covariance(X, K, block=block)
     assert np.linalg.norm(M1 - M2) <= 1e-10 * max(np.linalg.norm(M1), 1e-30)
-
-
-def test_blocked_equals_rayleigh():
-    X = sample_data_matrix(20, 300, seed=12)
-    K = KernelSpec(variant="indicator", dimension=20,
-                   radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 20))
-    M1 = truncated_covariance_rayleigh(X, build_graph_matrices(X, K))
-    M2 = truncated_covariance(X, K, block=64)
-    assert np.allclose(M1, M2, rtol=1e-12, atol=1e-14)
 
 
 def test_m_is_positive_semidefinite():
     X = sample_data_matrix(30, 80, seed=13)
     K = KernelSpec(variant="gaussian", dimension=30, tau=1.0)
-    M = truncated_covariance_direct(X, K)
+    M = truncated_covariance(X, K)
     ev = np.linalg.eigvalsh(M)
     assert ev.min() >= -1e-8 * np.abs(ev).max()
 
@@ -199,17 +206,17 @@ def test_m_is_positive_semidefinite():
 def test_constant_kernel_scaling_covariance():
     X = sample_data_matrix(10, 25, seed=14)
     K = KernelSpec(variant="constant", dimension=10)
-    ev1 = np.linalg.eigvalsh(truncated_covariance_direct(X, K))
+    ev1 = np.linalg.eigvalsh(truncated_covariance(X, K))
     from dataclasses import replace
     X3 = replace(X, entries=3.0 * X.entries)
-    ev3 = np.linalg.eigvalsh(truncated_covariance_direct(X3, K))
+    ev3 = np.linalg.eigvalsh(truncated_covariance(X3, K))
     assert np.allclose(ev3, 9.0 * ev1, rtol=1e-10, atol=1e-12)
 
 
 def test_constant_kernel_rank_bound():
     X = sample_data_matrix(40, 10, seed=15)
     K = KernelSpec(variant="constant", dimension=40)
-    ev = np.linalg.eigvalsh(truncated_covariance_direct(X, K))
+    ev = np.linalg.eigvalsh(truncated_covariance(X, K))
     # rank <= n - 1 because the column mean is projected out
     assert np.sum(ev > 1e-10 * ev.max()) <= 9
 

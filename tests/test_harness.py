@@ -285,6 +285,13 @@ def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
     assert cli.main(["law", "--type", "genmp", "--out", str(out)]) == 3
 
 
+def test_cli_linalg_failure_exit_code(monkeypatch):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+    monkeypatch.setattr(harness, "figure1", boom)
+    assert cli.main(["figure1"]) == 3
+
+
 def test_cli_law_outputs(tmp_path):
     mp_out = tmp_path / "mp.csv"
     assert cli.main(["law", "--type", "mp", "--c", "0.4", "--out",

@@ -354,6 +354,14 @@ def test_invert_poisson_kernel():
     assert np.allclose(f, v / (np.pi * (x**2 + v**2)), atol=1e-12)
 
 
+def test_invert_rejects_negative_density():
+    x = np.linspace(-1.0, 1.0, 11)
+    with pytest.raises(InversionQualityError):
+        stieltjes_invert(lambda z: 1.0 / z, x, 0.05)
+    with pytest.raises(ValueError):
+        stieltjes_invert(lambda z: -1.0 / z, x, 0.0)
+
+
 def test_invert_refined_reports_stability():
     x = np.linspace(-1.5, 1.5, 50)
     f, stability = laws.stieltjes_invert_refined(

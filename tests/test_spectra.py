@@ -46,6 +46,14 @@ def test_rejects_nonsquare_and_asymmetric():
         symmetric_eigenvalues(S)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_entries(bad):
+    S = np.eye(3)
+    S[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_eigenvalues(S)
+
+
 def test_tolerates_roundoff_asymmetry():
     S = _random_symmetric(4, 1)
     S[0, 1] += 1e-14
