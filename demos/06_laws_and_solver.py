@@ -14,11 +14,11 @@ def main():
     mp = laws.MPLaw(c=0.4, scale=1.0)
     a, b = mp.support
     x = np.linspace(a, b, 2001)
-    mass = np.trapezoid(laws.mp_density(mp, x), x)
+    mass = np.trapezoid(mp.density(x), x)
     print(f"MP(0.4, 1) support [{a:.3f}, {b:.3f}], grid mass {mass:.5f}")
 
     sc = laws.SCLaw(variance=1.0)
-    print(f"SC(1) density at 0: {laws.sc_density(sc, 0.0):.5f} "
+    print(f"SC(1) density at 0: {sc.density(0.0):.5f} "
           f"(1/pi = {1 / np.pi:.5f})")
 
     # solver consistency: a point mass at 1 reproduces the closed-form MP
@@ -37,14 +37,10 @@ def main():
 
     # full pipeline: solve on a grid, invert to a density, assemble a CDF
     x_grid = np.linspace(0.0, 1.15 * b, 400)
-    grid_sol = laws.solve_stieltjes_grid(x_grid + 1e-3j, 0.4, 1.0, zeta_ind)
-    density = laws.stieltjes_invert(lambda _: grid_sol.values, x_grid, 1e-3)
-    atom = laws.estimate_atom_at_zero(
-        lambda z: laws.solve_nonsmooth_stieltjes(z, 0.4, 1.0, zeta_ind))
-    cdf = laws.generalized_mp_cdf(x_grid, density, atom_at_zero=atom)
-    print(f"generalized MP: atom at 0 ~ {atom:.4f}, "
-          f"mass correction {cdf.mass_correction:.4f}, "
-          f"median ~ {x_grid[np.searchsorted(cdf(x_grid), 0.5)]:.4f}")
+    genmp = laws.GenMPLaw(0.4, 1.0, zeta_ind, x_grid, 1e-3)
+    print(f"generalized MP: atom at 0 ~ {genmp.atom_at_zero:.4f}, "
+          f"mass correction {genmp.mass_correction:.4f}, "
+          f"median ~ {x_grid[np.searchsorted(genmp.cdf(x_grid), 0.5)]:.4f}")
 
     # the same pipeline is available from the command line:
     #   rmt law --type genmp --c 0.4 --z-alpha 0.5 --out genmp.csv

@@ -38,6 +38,7 @@ from .spectra import (
 )
 from .laws import (
     DMoments,
+    GenMPLaw,
     InversionQualityError,
     MPLaw,
     SCLaw,
@@ -55,7 +56,6 @@ from .laws import (
     solve_nonsmooth_stieltjes,
     solve_stieltjes_grid,
     stieltjes_invert,
-    stieltjes_invert_refined,
     zeta_general,
     zeta_indicator,
 )

@@ -161,30 +161,19 @@ def _cmd_law(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.type == "mp":
         law = laws.MPLaw(c=args.c, scale=args.scale)
-        lo = args.x_lo if args.x_lo is not None else 0.0
-        hi = args.x_hi if args.x_hi is not None else 1.15 * law.support[1]
-        x = np.linspace(lo, hi, args.points)
-        harness.write_law_csv(out, x, laws.mp_density(law, x),
-                              laws.mp_cdf(law, x))
+        lo, hi = 0.0, 1.15 * law.support[1]
     elif args.type == "sc":
         law = laws.SCLaw(variance=args.variance)
-        lo = args.x_lo if args.x_lo is not None else -1.1 * law.radius
-        hi = args.x_hi if args.x_hi is not None else 1.1 * law.radius
-        x = np.linspace(lo, hi, args.points)
-        harness.write_law_csv(out, x, laws.sc_density(law, x),
-                              laws.sc_cdf(law, x))
+        lo, hi = -1.1 * law.radius, 1.1 * law.radius
     else:
-        zeta = laws.zeta_indicator(args.z_alpha)
-        edge = args.sigma**2 * (1 + math.sqrt(args.c)) ** 2
-        lo = args.x_lo if args.x_lo is not None else 0.0
-        hi = args.x_hi if args.x_hi is not None else 1.15 * edge
-        x = np.linspace(lo, hi, args.points)
-        sol = laws.solve_stieltjes_grid(x + 1e-3j, args.c, args.sigma, zeta)
-        density = laws.stieltjes_invert(lambda z: sol.values, x, 1e-3)
-        atom = laws.estimate_atom_at_zero(
-            lambda z: laws.solve_nonsmooth_stieltjes(z, args.c, args.sigma, zeta))
-        cdf = laws.generalized_mp_cdf(x, density, atom_at_zero=atom)
-        harness.write_law_csv(out, x, density, cdf(x))
+        # the harness's default genMP grid: up to 1.15 x the MP(c, sigma^2) edge
+        lo, hi = 0.0, 1.15 * laws.MPLaw(c=args.c, scale=args.sigma**2).support[1]
+    x = np.linspace(args.x_lo if args.x_lo is not None else lo,
+                    args.x_hi if args.x_hi is not None else hi, args.points)
+    if args.type == "genmp":
+        law = laws.GenMPLaw(args.c, args.sigma, laws.zeta_indicator(args.z_alpha),
+                            x, 1e-3)
+    harness.write_law_csv(out, law, x)
     print(f"wrote {out}")
     return 0
 

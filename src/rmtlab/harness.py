@@ -150,24 +150,25 @@ def _parse_value(field_name, text):
 def select_prediction(config: ExperimentConfig, kernel=None):
     """Map a kernel/regime to its predicted limiting law.
 
-    Returns a dict with keys: kind ('mp' | 'sc' | 'genmp' | 'none'),
-    law_params, cdf, density (callables on real grids), solver (stats or None).
-    A custom KernelSpec may be passed directly; without closed-form metadata it
-    maps to the explicit no-prediction marker.
+    Returns (law, law_params): law is an MPLaw, SCLaw or GenMPLaw with
+    density(x) and cdf(x), or None without a prediction; law_params echoes
+    its parameters, with kind 'mp' | 'sc' | 'genmp' | 'none'. A custom
+    KernelSpec may be passed directly; without closed-form metadata it maps
+    to no prediction. Any other kernel passed must equal config.kernel().
     """
     c = config.p / config.n
     sigma = config.sigma
+    if kernel is not None and kernel.variant != "custom" \
+            and kernel != config.kernel():
+        raise ValueError(f"kernel {kernel} contradicts the config's kernel "
+                         f"{config.kernel()}")
     K = kernel if kernel is not None else config.kernel()
     if K.variant == "custom" and config.regime == "proportional":
-        if K.alpha_limit is not None:
-            law = laws.MPLaw(c=c, scale=K.alpha_limit * sigma**2)
-            params = {"kind": "mp", "c": c, "scale": law.scale,
-                      "alpha": K.alpha_limit}
-            return {"kind": "mp", "law_params": params,
-                    "cdf": lambda x: laws.mp_cdf(law, x),
-                    "density": lambda x: laws.mp_density(law, x), "solver": None}
-        return {"kind": "none", "law_params": {"kind": "none"}, "cdf": None,
-                "density": None, "solver": None}
+        if K.alpha_limit is None:
+            return None, {"kind": "none"}
+        law = laws.MPLaw(c=c, scale=K.alpha_limit * sigma**2)
+        return law, {"kind": "mp", "c": c, "scale": law.scale,
+                     "alpha": K.alpha_limit}
     if config.regime == "semi_high_dim":
         # The centered spectrum is driven by the conditional-mean weights
         # xi_i = E[K(X_i, V) | X_i]; each weight appears twice per pairing in
@@ -183,67 +184,33 @@ def select_prediction(config: ExperimentConfig, kernel=None):
         beta_sq = ensemble.beta_p_sq(K, sigma, config.entry_law,
                                      seed=ensemble.derive_seed(config.master_seed, 10**6 + 2))
         law = laws.SCLaw(variance=pair_sq * sigma**4)
-        params = {"kind": "sc", "c": c, "alpha_p": alpha, "beta_p_sq": beta_sq,
-                  "pair_moment": pair_sq, "variance": law.variance}
-        return {"kind": "sc", "law_params": params,
-                "cdf": lambda x: laws.sc_cdf(law, x),
-                "density": lambda x: laws.sc_density(law, x),
-                "alpha_p": alpha, "solver": None}
+        return law, {"kind": "sc", "c": c, "alpha_p": alpha, "beta_p_sq": beta_sq,
+                     "pair_moment": pair_sq, "variance": law.variance}
 
-    if config.kernel_variant == "constant":
+    if K.variant == "constant":
         law = laws.MPLaw(c=c, scale=sigma**2)
-        params = {"kind": "mp", "c": c, "scale": law.scale, "alpha": 1.0}
-    elif config.kernel_variant == "gaussian":
+        return law, {"kind": "mp", "c": c, "scale": law.scale, "alpha": 1.0}
+    if K.variant == "gaussian":
         # Smooth-kernel limit: M behaves like (alpha/n) X X^T, whose MP scale
         # is alpha * sigma^2 (consistent with the fixed-point equation in the
         # constant-limit case and with the trace of M).
         alpha = 1.0 - math.exp(-sigma**2 / config.kernel_tau**2)
         law = laws.MPLaw(c=c, scale=alpha * sigma**2)
-        params = {"kind": "mp", "c": c, "scale": law.scale, "alpha": alpha,
-                  "tau": config.kernel_tau}
-    elif config.kernel_variant == "indicator":
-        return _genmp_prediction(config, c, sigma)
-    else:
-        return {"kind": "none", "law_params": {"kind": "none"}, "cdf": None,
-                "density": None, "solver": None}
-    return {"kind": "mp", "law_params": params,
-            "cdf": lambda x: laws.mp_cdf(law, x),
-            "density": lambda x: laws.mp_density(law, x), "solver": None}
-
-
-def _genmp_prediction(config, c, sigma):
+        return law, {"kind": "mp", "c": c, "scale": law.scale, "alpha": alpha,
+                     "tau": config.kernel_tau}
+    # indicator: generalized MP on [0, 1.15 x the MP(c, sigma^2) edge] unless
+    # the config sets the grid; inverted at the smallest v of the schedule
     z_alpha = config.indicator_z_alpha()
     zeta = laws.zeta_indicator(z_alpha, n_atoms=64)
-    x, v_small = _stieltjes_grid(config, c, sigma)
-    sol = laws.solve_stieltjes_grid(x + 1j * v_small, c, sigma, zeta)
-
-    def s_fn(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = laws.solve_stieltjes_grid(z, c, sigma, zeta)
-        return out.values
-
-    density = laws.stieltjes_invert(lambda z: sol.values, x, v_small)
-    atom = laws.estimate_atom_at_zero(lambda z: s_fn(z)[0], v=1e-4)
-    cdf = laws.generalized_mp_cdf(x, density, atom_at_zero=atom)
-    dens_interp = lambda t: np.interp(np.asarray(t, dtype=float), x, density,
-                                      left=0.0, right=0.0)
-    params = {"kind": "genmp", "c": c, "sigma_sq": sigma**2, "z_alpha": z_alpha,
-              "zeta_mean": zeta.mean(), "atom_at_zero": atom,
-              "mass_correction": cdf.mass_correction}
-    solver = {"max_residual": sol.max_residual, "iterations": sol.iterations}
-    return {"kind": "genmp", "law_params": params, "cdf": cdf,
-            "density": dens_interp, "solver": solver, "grid": x,
-            "grid_density": density}
-
-
-def _stieltjes_grid(config, c, sigma):
-    b_edge = sigma**2 * (1 + math.sqrt(c)) ** 2
     x_lo = config.stieltjes_x_lo if config.stieltjes_x_lo is not None else 0.0
     x_hi = config.stieltjes_x_hi if config.stieltjes_x_hi is not None \
-        else 1.15 * b_edge
-    x = np.linspace(x_lo, x_hi, config.stieltjes_points)
-    v_small = min(config.stieltjes_v_schedule)
-    return x, v_small
+        else 1.15 * laws.MPLaw(c=c, scale=sigma**2).support[1]
+    law = laws.GenMPLaw(c, sigma, zeta,
+                        np.linspace(x_lo, x_hi, config.stieltjes_points),
+                        min(config.stieltjes_v_schedule))
+    return law, {"kind": "genmp", "c": c, "sigma_sq": sigma**2, "z_alpha": z_alpha,
+                 "zeta_mean": zeta.mean(), "atom_at_zero": law.atom_at_zero,
+                 "mass_correction": law.mass_correction}
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +233,14 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
     """Run the configured seeded trials, compare the pooled ESD with the
     predicted law, and (optionally) write histogram/law CSVs and report JSON.
 
-    `kernel` overrides the config-derived KernelSpec (custom kernels)."""
-    if kernel is None:
-        config.validate()
+    `kernel` overrides the config-derived KernelSpec (custom kernels); any
+    other kernel must equal config.kernel(). The returned report also holds
+    the pooled spectrum and the predicted law object."""
+    config.validate()
     t0 = time.perf_counter()
     K = kernel if kernel is not None else config.kernel()
-    prediction = select_prediction(config, kernel=K)
-    alpha = prediction.get("alpha_p")
+    law, law_params = select_prediction(config, kernel=K)
+    alpha = law_params.get("alpha_p")
 
     indices = list(range(config.trials))
     if threads > 1:
@@ -288,26 +256,28 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
                                "kernel": config.kernel_variant,
                                "master_seed": config.master_seed})
 
-    law_cdf = prediction["cdf"]
-    per_trial_ks = [spectra.ks_distance(s, law_cdf) for s in trial_specs] \
-        if law_cdf is not None else []
-    pooled_ks = spectra.ks_distance(pooled, law_cdf) if law_cdf is not None else None
+    per_trial_ks = [spectra.ks_distance(s, law.cdf) for s in trial_specs] \
+        if law is not None else []
+    pooled_ks = spectra.ks_distance(pooled, law.cdf) if law is not None else None
     w2_pairs = [spectra.wasserstein2(trial_specs[i], trial_specs[i + 1])
                 for i in range(len(trial_specs) - 1)]
 
     runtime = time.perf_counter() - t0
+    solver = {"max_residual": law.solution.max_residual,
+              "iterations": law.solution.iterations} \
+        if isinstance(law, laws.GenMPLaw) else None
     report = {
         "config": _config_echo(config),
         "per_trial_ks": per_trial_ks,
         "pooled_ks": pooled_ks,
         "w2_pairs": w2_pairs,
-        "law_params": prediction["law_params"],
-        "solver": prediction["solver"],
+        "law_params": law_params,
+        "solver": solver,
         "runtime_seconds": runtime,
         "pooled_mean_eigenvalue": float(np.mean(pooled.eigenvalues)),
     }
     if check and pooled_ks is not None:
-        threshold = CHECK_THRESHOLDS.get(prediction["kind"])
+        threshold = CHECK_THRESHOLDS.get(law_params["kind"])
         report["check"] = {"threshold": threshold,
                            "breach": bool(threshold is not None
                                           and pooled_ks > threshold)}
@@ -316,12 +286,8 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
         out.mkdir(parents=True, exist_ok=True)
         hist = spectra.histogram(pooled, config.histogram_bins)
         write_histogram_csv(out / "histogram.csv", hist)
-        if prediction["kind"] != "none":
-            grid = prediction.get("grid")
-            if grid is None:
-                grid = _law_grid(prediction, pooled)
-            write_law_csv(out / "law.csv", grid,
-                          prediction["density"](grid), law_cdf(grid))
+        if law is not None:
+            write_law_csv(out / "law.csv", law, _law_grid(law, pooled))
         write_report_json(out / "report.json", report)
         report["artifacts"] = {
             "histogram": str(out / "histogram.csv"),
@@ -329,15 +295,17 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
             "report": str(out / "report.json"),
         }
     report["pooled_spectrum"] = pooled
+    report["law"] = law
     return report
 
 
-def _law_grid(prediction, pooled, points=400):
+def _law_grid(law, pooled, points=400):
+    if isinstance(law, laws.GenMPLaw):
+        return law.grid
     lo = min(0.0, float(pooled.eigenvalues[0]))
     hi = float(pooled.eigenvalues[-1]) * 1.1 + 1e-6
-    if prediction["kind"] == "sc":
-        r = 2.0 * math.sqrt(prediction["law_params"]["variance"])
-        lo, hi = min(lo, -1.05 * r), max(hi, 1.05 * r)
+    if isinstance(law, laws.SCLaw):
+        lo, hi = min(lo, -1.05 * law.radius), max(hi, 1.05 * law.radius)
     return np.linspace(lo, hi, points)
 
 
@@ -363,16 +331,17 @@ def write_histogram_csv(path, hist: spectra.Histogram):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_law_csv(path, x, density, cdf):
+def write_law_csv(path, law, x):
+    """Tabulate law.density and law.cdf on the grid x."""
     lines = ["x,density,cdf"]
-    for xi, fi, ci in zip(x, density, cdf):
+    for xi, fi, ci in zip(x, law.density(x), law.cdf(x)):
         lines.append(f"{_fmt(xi)},{_fmt(fi)},{_fmt(ci)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_report_json(path, report):
     payload = {k: v for k, v in report.items()
-               if k not in ("pooled_spectrum", "artifacts")}
+               if k not in ("pooled_spectrum", "law", "artifacts")}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
                                      default=_json_default) + "\n")
 
@@ -409,10 +378,7 @@ def figure1(p=200, n=500, sigma=1.0, betas=(-0.1, 0.1, 0.3, math.inf),
                                    output_dir=str(out / f"beta_{tag}"))
         rep = run_experiment(cfg, threads=threads)
         # plain MP(c, sigma^2) overlay next to every histogram
-        mp = laws.MPLaw(c=p / n, scale=sigma**2)
-        grid = np.linspace(0.0, 1.15 * mp.support[1], 400)
-        write_law_csv(out / f"beta_{tag}" / "law_mp.csv", grid,
-                      laws.mp_density(mp, grid), laws.mp_cdf(mp, grid))
+        _write_mp_overlay(out / f"beta_{tag}" / "law_mp.csv", p / n, sigma)
         reports[tag] = rep
     return reports
 
@@ -430,12 +396,15 @@ def figure2(p=200, n=500, sigma=1.0, taus=(0.4, 0.7, 1.0, 1.3), seed=0,
                                master_seed=seed, kernel_variant="gaussian",
                                kernel_tau=tau, output_dir=str(out / f"tau_{tau:g}"))
         rep = run_experiment(cfg, threads=threads)
-        mp_raw = laws.MPLaw(c=p / n, scale=sigma**2)
-        grid = np.linspace(0.0, 1.15 * mp_raw.support[1], 400)
-        write_law_csv(out / f"tau_{tau:g}" / "law_mp_raw.csv", grid,
-                      laws.mp_density(mp_raw, grid), laws.mp_cdf(mp_raw, grid))
+        _write_mp_overlay(out / f"tau_{tau:g}" / "law_mp_raw.csv", p / n, sigma)
         reports[f"{tau:g}"] = rep
     return reports
+
+
+def _write_mp_overlay(path, c, sigma):
+    """MP(c, sigma^2) on [0, 1.15 x its right edge], 400 points."""
+    mp = laws.MPLaw(c=c, scale=sigma**2)
+    write_law_csv(path, mp, np.linspace(0.0, 1.15 * mp.support[1], 400))
 
 
 def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
@@ -450,7 +419,8 @@ def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
                            if kernel_variant == "indicator" else None,
                            kernel_tau=kernel_tau, output_dir=out_dir)
     rep = run_experiment(cfg, threads=threads)
-    var = rep["law_params"]["variance"]
+    law = rep["law"]
+    var = law.variance
     zs = np.linspace(-2.5, 2.5, 101) * max(math.sqrt(var), 1.0) + 1e-2j
     s = laws.sc_stieltjes(zs, var)
     rep["sc_transform_residual"] = float(np.max(np.abs(var * s**2 + zs * s + 1)))
@@ -461,11 +431,10 @@ def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
     alpha = rep["law_params"]["alpha_p"]
     mean_eig = ensemble.expected_mean_eigenvalue(cfg.kernel(), sigma, p=p, n=n)
     shift = math.sqrt(n / p) * (mean_eig - alpha * sigma**2)
-    law = laws.SCLaw(variance=var)
     rep["predicted_mean_shift"] = shift
     rep["pooled_ks_shifted"] = spectra.ks_distance(
         rep["pooled_spectrum"],
-        lambda x: laws.sc_cdf(law, np.asarray(x, dtype=float) - shift))
+        lambda x: law.cdf(np.asarray(x, dtype=float) - shift))
     write_report_json(Path(cfg.output_dir) / "report.json", rep)
     return rep
 

@@ -2,7 +2,7 @@
 # distribution of the conditional kernel mean, the fixed-point solver for the
 # generalized Marchenko-Pastur Stieltjes transform, and inversion to densities.
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -42,6 +42,12 @@ class MPLaw:
     @property
     def atom_at_zero(self):
         return max(0.0, 1.0 - 1.0 / self.c)
+
+    def density(self, x):
+        return mp_density(self, x)
+
+    def cdf(self, x):
+        return mp_cdf(self, x)
 
 
 def mp_density(law: MPLaw, x):
@@ -108,6 +114,12 @@ class SCLaw:
     @property
     def radius(self):
         return 2.0 * np.sqrt(self.variance)
+
+    def density(self, x):
+        return sc_density(self, x)
+
+    def cdf(self, x):
+        return sc_cdf(self, x)
 
 
 def sc_density(law: SCLaw, x):
@@ -387,20 +399,6 @@ def stieltjes_invert(s_fn, x_grid, v):
     return np.maximum(f, 0.0)
 
 
-def stieltjes_invert_refined(s_fn, x_grid, v_schedule=(1e-1, 1e-2, 1e-3)):
-    """Invert along a decreasing v schedule; report values at the smallest v
-    plus a stability estimate (max change over the last refinement step)."""
-    vs = sorted(v_schedule, reverse=True)
-    prev = None
-    stability = np.inf
-    for v in vs:
-        f = stieltjes_invert(s_fn, x_grid, v)
-        if prev is not None:
-            stability = float(np.max(np.abs(f - prev)))
-        prev = f
-    return prev, stability
-
-
 def estimate_atom_at_zero(s_fn, v=1e-4):
     """Mass estimate v * |s(i v)| for an atom at 0 (reported, not certified)."""
     return float(v * abs(s_fn(1j * v)))
@@ -434,3 +432,45 @@ def generalized_mp_cdf(x_grid, density, atom_at_zero=0.0):
 
     cdf.mass_correction = correction
     return cdf
+
+
+@dataclass(frozen=True, eq=False)
+class GenMPLaw:
+    """Generalized MP law of the fixed point with weights zeta, tabulated on
+    the real grid by Stieltjes-Perron inversion at height v.
+
+    The constructor solves the fixed point on grid + i v, inverts it to a
+    density, estimates the atom at 0 and assembles the renormalized CDF.
+    """
+
+    c: float
+    sigma: float
+    zeta: ZetaDistribution
+    grid: np.ndarray
+    v: float
+    solution: StieltjesSolution = field(init=False)
+    grid_density: np.ndarray = field(init=False)
+    atom_at_zero: float = field(init=False)
+    mass_correction: float = field(init=False)
+    _cdf: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c, sigma, zeta = self.c, self.sigma, self.zeta
+        sol = solve_stieltjes_grid(self.grid + 1j * self.v, c, sigma, zeta)
+        density = stieltjes_invert(lambda z: sol.values, self.grid, self.v)
+        atom = estimate_atom_at_zero(
+            lambda z: solve_nonsmooth_stieltjes(z, c, sigma, zeta))
+        cdf = generalized_mp_cdf(self.grid, density, atom_at_zero=atom)
+        for name, value in (("solution", sol), ("grid_density", density),
+                            ("atom_at_zero", atom),
+                            ("mass_correction", cdf.mass_correction),
+                            ("_cdf", cdf)):
+            object.__setattr__(self, name, value)
+
+    def density(self, x):
+        """Grid density interpolated linearly, zero off the grid."""
+        return np.interp(np.asarray(x, dtype=float), self.grid,
+                         self.grid_density, left=0.0, right=0.0)
+
+    def cdf(self, x):
+        return self._cdf(x)

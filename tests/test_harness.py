@@ -81,27 +81,27 @@ def test_config_file_rejects_unknown_key_and_bad_line(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_prediction_constant_kernel(tmp_path):
-    pred = harness.select_prediction(_cfg(tmp_path))
-    assert pred["kind"] == "mp"
-    assert pred["law_params"]["scale"] == 1.0
-    assert pred["cdf"](10.0) == 1.0
+    law, params = harness.select_prediction(_cfg(tmp_path))
+    assert params["kind"] == "mp"
+    assert params["scale"] == 1.0
+    assert law.cdf(10.0) == 1.0
 
 
 def test_prediction_gaussian_kernel_scale(tmp_path):
     cfg = _cfg(tmp_path, kernel_variant="gaussian", kernel_tau=0.7)
-    pred = harness.select_prediction(cfg)
+    law, params = harness.select_prediction(cfg)
     alpha = 1.0 - math.exp(-1.0 / 0.7**2)
-    assert pred["law_params"]["scale"] == pytest.approx(alpha)
+    assert params["scale"] == pytest.approx(alpha)
 
 
 def test_prediction_indicator_kernel(tmp_path):
     cfg = _cfg(tmp_path, kernel_variant="indicator", kernel_z_alpha=0.0)
-    pred = harness.select_prediction(cfg)
-    assert pred["kind"] == "genmp"
-    assert pred["solver"]["max_residual"] <= 1e-10
-    assert pred["law_params"]["mass_correction"] == pytest.approx(1.0, abs=0.05)
+    law, params = harness.select_prediction(cfg)
+    assert params["kind"] == "genmp"
+    assert law.solution.max_residual <= 1e-10
+    assert params["mass_correction"] == pytest.approx(1.0, abs=0.05)
     x = np.linspace(0.0, 4.0, 50)
-    vals = pred["cdf"](x)
+    vals = law.cdf(x)
     assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -110,29 +110,28 @@ def test_prediction_custom_kernel(tmp_path):
     K_known = ensemble.KernelSpec(variant="custom", dimension=200,
                                   profile=lambda t: np.full_like(t, 0.3),
                                   alpha_limit=0.3)
-    pred = harness.select_prediction(cfg, kernel=K_known)
-    assert pred["kind"] == "mp"
-    assert pred["law_params"]["scale"] == pytest.approx(0.3)
+    law, params = harness.select_prediction(cfg, kernel=K_known)
+    assert params["kind"] == "mp"
+    assert params["scale"] == pytest.approx(0.3)
     K_unknown = ensemble.KernelSpec(variant="custom", dimension=200,
                                     profile=lambda t: np.exp(-t))
-    pred2 = harness.select_prediction(cfg, kernel=K_unknown)
-    assert pred2["kind"] == "none"
-    assert pred2["cdf"] is None
+    law2, params2 = harness.select_prediction(cfg, kernel=K_unknown)
+    assert params2["kind"] == "none"
+    assert law2 is None
 
 
 def test_prediction_semicircle_variances(tmp_path):
     cfg_const = _cfg(tmp_path, regime="semi_high_dim", p=100, n=2000,
                      kernel_variant="constant")
-    pred = harness.select_prediction(cfg_const)
-    assert pred["kind"] == "sc"
-    assert pred["law_params"]["variance"] == pytest.approx(1.0)
+    law, params = harness.select_prediction(cfg_const)
+    assert params["kind"] == "sc"
+    assert params["variance"] == pytest.approx(1.0)
     cfg_ind = _cfg(tmp_path, regime="semi_high_dim", p=400, n=20000,
                    kernel_variant="indicator", kernel_z_alpha=0.0)
-    pred2 = harness.select_prediction(cfg_ind)
+    law2, params2 = harness.select_prediction(cfg_ind)
     # the pair moment sits well below alpha ~ 1/2 at this radius
-    assert 0.25 < pred2["law_params"]["pair_moment"] < 0.35
-    assert pred2["law_params"]["variance"] \
-        == pytest.approx(pred2["law_params"]["pair_moment"])
+    assert 0.25 < params2["pair_moment"] < 0.35
+    assert params2["variance"] == pytest.approx(params2["pair_moment"])
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +186,27 @@ def test_run_experiment_custom_kernel_override(tmp_path):
     rep = harness.run_experiment(cfg, kernel=K, write_artifacts=False)
     ref = harness.run_experiment(cfg, write_artifacts=False)
     assert rep["pooled_ks"] == pytest.approx(ref["pooled_ks"], abs=1e-12)
+
+
+def test_run_experiment_rejects_kernel_contradicting_config(tmp_path):
+    # a Gaussian kernel under a constant-kernel config has no prediction of
+    # its own; scoring it against MP(c, sigma^2) would be silently wrong
+    cfg = _cfg(tmp_path, p=60, n=150, trials=1)
+    K = ensemble.KernelSpec(variant="gaussian", dimension=60, tau=1.3)
+    with pytest.raises(ValueError, match="contradicts"):
+        harness.run_experiment(cfg, kernel=K, write_artifacts=False)
+    # the config's own kernel, passed explicitly, is accepted
+    rep = harness.run_experiment(cfg, kernel=cfg.kernel(), write_artifacts=False)
+    assert rep["pooled_ks"] == harness.run_experiment(
+        cfg, write_artifacts=False)["pooled_ks"]
+
+
+def test_run_experiment_validates_config_with_kernel(tmp_path):
+    cfg = _cfg(tmp_path, p=60, n=150, trials=0)
+    K = ensemble.KernelSpec(variant="custom", dimension=60,
+                            profile=lambda t: np.ones_like(t), alpha_limit=1.0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        harness.run_experiment(cfg, kernel=K, write_artifacts=False)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +327,25 @@ def test_cli_law_outputs(tmp_path):
                      "--points", "200", "--out", str(genmp_out)]) == 0
     glines = genmp_out.read_text().strip().splitlines()
     assert len(glines) == 201
+
+
+def test_cli_genmp_law_matches_run_experiment(tmp_path):
+    cli_out = tmp_path / "genmp.csv"
+    assert cli.main(["law", "--type", "genmp", "--c", "0.4", "--z-alpha", "0.3",
+                     "--out", str(cli_out)]) == 0
+    cfg = _cfg(tmp_path, p=80, n=200, kernel_variant="indicator",
+               kernel_z_alpha=0.3, trials=1, output_dir=str(tmp_path / "run"))
+    harness.run_experiment(cfg)
+    assert cli_out.read_bytes() == (tmp_path / "run" / "law.csv").read_bytes()
+
+
+def test_cli_mp_law_matches_figure1_overlay(tmp_path):
+    cli_out = tmp_path / "mp.csv"
+    assert cli.main(["law", "--type", "mp", "--c", "0.4", "--out",
+                     str(cli_out)]) == 0
+    harness.figure1(p=80, n=200, betas=(math.inf,), out_dir=str(tmp_path / "f1"))
+    assert cli_out.read_bytes() \
+        == (tmp_path / "f1" / "beta_inf" / "law_mp.csv").read_bytes()
 
 
 def test_cli_figure2_runs(tmp_path, capsys):

@@ -362,14 +362,6 @@ def test_invert_rejects_negative_density():
         stieltjes_invert(lambda z: -1.0 / z, x, 0.0)
 
 
-def test_invert_refined_reports_stability():
-    x = np.linspace(-1.5, 1.5, 50)
-    f, stability = laws.stieltjes_invert_refined(
-        lambda z: sc_stieltjes(z, 1.0), x)
-    assert stability < 5e-2
-    assert np.all(f >= 0)
-
-
 def test_generalized_cdf_sc_grid():
     x = np.linspace(-2.2, 2.2, 800)
     cdf = generalized_mp_cdf(x, sc_density(SCLaw(variance=1.0), x))
@@ -383,6 +375,20 @@ def test_generalized_cdf_mp_grid():
     cdf = generalized_mp_cdf(x, mp_density(law, x))
     assert cdf(b) == pytest.approx(1.0, abs=1e-2)
     assert cdf.mass_correction == pytest.approx(1.0, abs=0.03)
+
+
+def test_genmp_law_point_mass_reproduces_mp():
+    # zeta = delta_1 makes the fixed point the MP(c, sigma^2) equation
+    mp = MPLaw(c=0.4, scale=1.0)
+    a, b = mp.support
+    x = np.linspace(0.0, 1.15 * b, 400)
+    law = laws.GenMPLaw(0.4, 1.0, ZetaDistribution.point_mass(1.0), x, 1e-3)
+    inner = (x > a + 0.05) & (x < b - 0.05)
+    assert np.max(np.abs(law.density(x) - mp_density(mp, x))[inner]) <= 1e-2
+    assert np.max(np.abs(law.cdf(x) - mp_cdf(mp, x))) <= 5e-3
+    assert law.solution.max_residual <= 1e-10
+    assert np.array_equal(law.density(x), law.grid_density)
+    assert law.density(-1.0) == 0.0 and law.density(2 * x[-1]) == 0.0
 
 
 def test_generalized_cdf_pure_atom():
