@@ -88,10 +88,8 @@ class KernelSpec:
     radius: float | None = None
     tau: float | None = None
     profile: object = None
-    # optional closed-form metadata for custom kernels
+    # optional closed-form limit of alpha_p for custom kernels
     alpha_limit: float | None = None
-    beta_sq_limit: float | None = None
-    lipschitz: float | None = None
 
     def __post_init__(self):
         if self.variant not in KERNEL_VARIANTS:
@@ -200,25 +198,35 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):
 # Kernel moments alpha_p = E K(X1, X2) and beta_p^2 = E K(X1, X2)^2
 # ---------------------------------------------------------------------------
 
-def _kernel_moment_mc(K, entry_law, sigma, power, mc_samples, seed):
-    """Monte-Carlo mean and standard error of K(X1, X2)^power."""
+def _mc_sums(f, draws, rng, entry_law, sigma, p, mc_samples):
+    """Sums of f and f^2 over mc_samples Monte Carlo samples.
+
+    Each chunk of m samples draws `draws` fresh p x m entry blocks from `rng`,
+    in order, and passes them to f, which returns the m sample values.
+    """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    rng = rng_from_seed(seed)
-    p = K.dimension
-    total = 0.0
-    total_sq = 0.0
-    done = 0
+    total = total_sq = 0.0
     chunk = max(1, min(mc_samples, 10**7 // max(p, 1)))
-    while done < mc_samples:
+    for done in range(0, mc_samples, chunk):
         m = min(chunk, mc_samples - done)
-        D = draw_entries(rng, entry_law, sigma, (p, m)) \
-            - draw_entries(rng, entry_law, sigma, (p, m))
-        sq = np.einsum("ij,ij->j", D, D)
-        vals = K.eval_sqdist(sq) ** power
+        vals = f(*[draw_entries(rng, entry_law, sigma, (p, m)) for _ in range(draws)])
         total += vals.sum()
         total_sq += (vals**2).sum()
-        done += m
+    return total, total_sq
+
+
+def _sqnorm_diff(a, b):
+    """Squared Euclidean norms of the columns of a - b."""
+    d = a - b
+    return np.einsum("ij,ij->j", d, d)
+
+
+def _kernel_moment_mc(K, entry_law, sigma, power, mc_samples, seed):
+    """Monte-Carlo mean and standard error of K(X1, X2)^power."""
+    total, total_sq = _mc_sums(
+        lambda x1, x2: K.eval_sqdist(_sqnorm_diff(x1, x2)) ** power, 2,
+        rng_from_seed(seed), entry_law, sigma, K.dimension, mc_samples)
     mean = total / mc_samples
     var = max(total_sq / mc_samples - mean**2, 0.0)
     se = np.sqrt(var / mc_samples)
@@ -255,22 +263,14 @@ def beta_p_sq(K: KernelSpec, sigma=1.0, entry_law="gaussian",
         out = alpha_p(K, sigma, entry_law, mc_samples, seed, return_stderr=True)
         val, se = out
     elif K.variant == "gaussian" and entry_law == "gaussian":
-        val = gaussian_kernel_beta_sq_closed_form(K.dimension, K.tau, sigma)
+        # expand the square; E e^{-t ||X1-X2||^2} = (1 + 4 sigma^2 t)^{-p/2}
+        p, tau = K.dimension, K.tau
+        a = (1.0 + 2.0 * sigma**2 / (p * tau**2)) ** (-p / 2.0)
+        b = (1.0 + 4.0 * sigma**2 / (p * tau**2)) ** (-p / 2.0)
+        val = float(1.0 - 2.0 * a + b)
     else:
         val, se = _kernel_moment_mc(K, entry_law, sigma, 2, mc_samples, seed)
     return (val, se) if return_stderr else val
-
-
-def gaussian_kernel_beta_sq_closed_form(p, tau, sigma):
-    """E (1 - e^{-||X1-X2||^2 / (2 p tau^2)})^2 for Gaussian entries.
-
-    Expanding the square and using E e^{-t ||X1-X2||^2} = (1 + 4 sigma^2 t)^{-p/2}
-    gives plus signs inside the parentheses; validated against Monte Carlo in
-    the test suite.
-    """
-    a = (1.0 + 2.0 * sigma**2 / (p * tau**2)) ** (-p / 2.0)
-    b = (1.0 + 4.0 * sigma**2 / (p * tau**2)) ** (-p / 2.0)
-    return float(1.0 - 2.0 * a + b)
 
 
 def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
@@ -303,20 +303,12 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
         e1 = (1.0 + 2.0 * u * sigma**2) ** (-p / 2.0)
         e2 = (1.0 + 4.0 * u * sigma**2) ** (-p / 2.0)
         return float(1.0 - 2.0 * a * e1 + a**2 * e2)
-    rng = rng_from_seed(seed, stream=(0x9A12,))
-    total = 0.0
-    done = 0
-    chunk = max(1, min(mc_samples, 10**7 // max(p, 1)))
-    while done < mc_samples:
-        m = min(chunk, mc_samples - done)
-        X1 = draw_entries(rng, entry_law, sigma, (p, m))
-        V = draw_entries(rng, entry_law, sigma, (p, m))
-        Vp = draw_entries(rng, entry_law, sigma, (p, m))
-        k1 = K.eval_sqdist(np.einsum("ij,ij->j", X1 - V, X1 - V))
-        k2 = K.eval_sqdist(np.einsum("ij,ij->j", X1 - Vp, X1 - Vp))
-        total += float(np.sum(k1 * k2))
-        done += m
-    return total / mc_samples
+    def kernel_product(x1, v, v2):
+        return K.eval_sqdist(_sqnorm_diff(x1, v)) * K.eval_sqdist(_sqnorm_diff(x1, v2))
+
+    total, _ = _mc_sums(kernel_product, 3, rng_from_seed(seed, stream=(0x9A12,)),
+                        entry_law, sigma, p, mc_samples)
+    return float(total / mc_samples)
 
 
 def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
@@ -340,17 +332,12 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
         return float(pref * sigma**2
                      * (1.0 - (1.0 + 2.0 * sigma**2 / (p * K.tau**2))
                         ** (-p / 2.0 - 1.0)))
-    rng = rng_from_seed(seed, stream=(0x7ACE,))
-    total = 0.0
-    done = 0
-    chunk = max(1, min(mc_samples, 10**7 // max(p, 1)))
-    while done < mc_samples:
-        m = min(chunk, mc_samples - done)
-        D = draw_entries(rng, entry_law, sigma, (p, m)) \
-            - draw_entries(rng, entry_law, sigma, (p, m))
-        sq = np.einsum("ij,ij->j", D, D)
-        total += float(np.sum(K.eval_sqdist(sq) * sq))
-        done += m
+    def kernel_times_sqdist(x1, x2):
+        sq = _sqnorm_diff(x1, x2)
+        return K.eval_sqdist(sq) * sq
+
+    total, _ = _mc_sums(kernel_times_sqdist, 2, rng_from_seed(seed, stream=(0x7ACE,)),
+                        entry_law, sigma, p, mc_samples)
     return float(pref * total / (2.0 * p * mc_samples))
 
 
@@ -380,17 +367,14 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
     return K.gram(X.entries, V).mean(axis=1)
 
 
-def xi_bar_matrix(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
+def xi_bar_matrix(X: DataMatrix, xi):
     """Mbar = (1/n) sum_i xi_i X_i X_i^T, the reduced matrix of the diagnostics."""
-    xi = xi_conditional(X, K, mc_conditional, seed)
     W = X.entries
     Mbar = (W * xi) @ W.T / X.n
     return 0.5 * (Mbar + Mbar.T)
 
 
-def xi_prime(X: DataMatrix, K: KernelSpec, xi=None, mc_conditional=2000, seed=0):
-    """xi'_i = sum_{j != i} (K(X_i, X_j) - xi_i) = deg_i - (n - 1) xi_i."""
-    if xi is None:
-        xi = xi_conditional(X, K, mc_conditional, seed)
-    deg, _ = adjacency_stream(X, K)
-    return deg - (X.n - 1) * xi
+def xi_prime(deg, xi):
+    """xi'_i = sum_{j != i} (K(X_i, X_j) - xi_i) = deg_i - (n - 1) xi_i,
+    from the degrees of `adjacency_stream` and the means of `xi_conditional`."""
+    return deg - (len(deg) - 1) * xi

@@ -462,11 +462,10 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
             M = ((X.entries * deg) @ X.entries.T - xaxt) / n**2
             xaxt /= n**2
             xi = ensemble.xi_conditional(X, K, mc_conditional, seed)
-            Mbar = (X.entries * xi) @ X.entries.T / n
             w2 = spectra.wasserstein2(
                 spectra.esd(spectra.symmetric_eigenvalues(M)),
-                spectra.esd(spectra.symmetric_eigenvalues(Mbar)))
-            xi_pr = deg - (n - 1) * xi
+                spectra.esd(spectra.symmetric_eigenvalues(ensemble.xi_bar_matrix(X, xi))))
+            xi_pr = ensemble.xi_prime(deg, xi)
             rows.append({
                 "p": p, "n": n, "seed": int(seed), "w2_m_mbar": w2,
                 "max_xi_prime_over_n": float(np.max(np.abs(xi_pr)) / n),

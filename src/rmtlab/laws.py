@@ -8,7 +8,7 @@ import numpy as np
 from scipy import integrate
 from scipy.stats import norm
 
-from .ensemble import draw_entries
+from .ensemble import draw_entries, rng_from_seed
 
 
 class SolverError(RuntimeError):
@@ -168,7 +168,6 @@ class ZetaDistribution:
 
     values: np.ndarray
     weights: np.ndarray
-    provenance: str = "unspecified"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -191,8 +190,7 @@ class ZetaDistribution:
     @staticmethod
     def point_mass(value):
         return ZetaDistribution(values=np.array([float(value)]),
-                                weights=np.array([1.0]),
-                                provenance="point_mass")
+                                weights=np.array([1.0]))
 
 
 def gauss_hermite_prob(n):
@@ -210,8 +208,7 @@ def zeta_indicator(z_alpha, n_atoms=64) -> ZetaDistribution:
         raise ValueError("n_atoms must be >= 16")
     nodes, weights = gauss_hermite_prob(n_atoms)
     values = norm.cdf((nodes + 2.0 * z_alpha) / np.sqrt(3.0))
-    return ZetaDistribution(values=values, weights=weights,
-                            provenance=f"closed_form_indicator(z_alpha={z_alpha})")
+    return ZetaDistribution(values=values, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ def _d_eval(d, x, y):
 
 
 def _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xD,)))
+    rng = rng_from_seed(seed, stream=(0xD,))
     n_outer = max(200, int(np.sqrt(mc_samples)))
     n_inner = max(200, mc_samples // n_outer)
     v = draw_entries(rng, entry_law, sigma, n_outer)
@@ -302,8 +299,7 @@ def zeta_general(phi_tilde, moments: DMoments, n_outer=64, n_inner=64) -> ZetaDi
         raise ValueError("phi_tilde returned values outside [0, 1]")
     atoms = np.clip(vals, 0.0, 1.0) @ inner_weights
     return ZetaDistribution(values=np.clip(atoms, 0.0, 1.0),
-                            weights=outer_weights,
-                            provenance=f"quadrature({n_outer}x{n_inner})")
+                            weights=outer_weights)
 
 
 # ---------------------------------------------------------------------------

@@ -9,3 +9,11 @@ def test_demo_06_laws_and_solver_runs(capsys):
     out = capsys.readouterr().out
     assert "generalized MP: atom at 0" in out
     assert out.rstrip().endswith("for the CLI equivalent")
+
+
+def test_demo_05_reduction_diagnostics_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "05_reduction_diagnostics.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "median W2 strictly decreasing:" in out
+    assert (tmp_path / "demo_out" / "diagnostics" / "reduction_gaps.csv").is_file()

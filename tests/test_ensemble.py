@@ -268,8 +268,6 @@ def test_beta_sq_constant():
 def test_beta_sq_gaussian_closed_form_vs_monte_carlo():
     K = KernelSpec(variant="gaussian", dimension=200, tau=1.0)
     closed = R.beta_p_sq(K, sigma=1.0)
-    assert closed == pytest.approx(
-        R.ensemble.gaussian_kernel_beta_sq_closed_form(200, 1.0, 1.0))
     mc, se = _kernel_moment_mc(K, "gaussian", 1.0, 2, 3 * 10**5, 2)
     assert se < 1e-3
     assert abs(closed - mc) <= 3.0 * se
@@ -326,6 +324,47 @@ def test_expected_mean_eigenvalue_matches_simulation():
     assert abs(np.mean(means) - predicted) <= 4.0 * se
 
 
+@pytest.mark.parametrize("moment", [R.pair_kernel_moment,
+                                    lambda K, **kw: R.expected_mean_eigenvalue(K, n=50, **kw)],
+                         ids=["pair_kernel_moment", "expected_mean_eigenvalue"])
+def test_monte_carlo_moments_reject_zero_samples(moment):
+    K = KernelSpec(variant="custom", dimension=5, profile=lambda t: np.exp(-t / 10.0))
+    with pytest.raises(ValueError, match="mc_samples"):
+        moment(K, mc_samples=0)
+
+
+# Seeded Monte Carlo fallbacks, recorded from the chunked loops they replaced:
+# (entry_law, p, mc_samples) -> (alpha_p and its stderr, beta_p^2 and its
+# stderr, pair moment, mean eigenvalue at n = 200), custom profile exp(-t/2p),
+# seed 11. The p = 4000 case spans two chunks (2500 + 100 samples).
+MC_PINS = {
+    ("gaussian", 30, 5000): (
+        0.38063599555712785, 0.0013127185284051563, 0.15349991078785685,
+        0.0010336236799483684, 0.14578748418567516, 0.3546621544147169),
+    ("rademacher", 30, 5000): (
+        0.37407089196336185, 0.0009619263122262259, 0.14455554336503088,
+        0.0007601862174390355, 0.1387340578227229, 0.35979954254149715),
+    ("uniform_centered", 30, 5000): (
+        0.3756738734295342, 0.0011205405344753203, 0.14740891462456085,
+        0.0008786341536215472, 0.14210222792400629, 0.3574161107402823),
+    ("gaussian", 4000, 2600): (
+        0.3679383397983434, 0.00016042086781399554, 0.1354455325161197,
+        0.0001181820552592868, 0.13543020891540497, 0.3659491833041309),
+}
+
+
+@pytest.mark.parametrize("entry_law, p, mc_samples", list(MC_PINS))
+def test_monte_carlo_moments_are_pinned(entry_law, p, mc_samples):
+    K = KernelSpec(variant="custom", dimension=p, profile=lambda t: np.exp(-t / (2.0 * p)))
+    kw = dict(entry_law=entry_law, mc_samples=mc_samples, seed=11)
+    got = (*R.alpha_p(K, 1.0, return_stderr=True, **kw),
+           *R.beta_p_sq(K, 1.0, return_stderr=True, **kw),
+           R.pair_kernel_moment(K, 1.0, **kw),
+           R.expected_mean_eigenvalue(K, 1.0, n=200, **kw))
+    assert all(type(v) is float for v in got)
+    assert got == MC_PINS[(entry_law, p, mc_samples)]
+
+
 # ---------------------------------------------------------------------------
 # normalized matrix E and reduction diagnostics
 # ---------------------------------------------------------------------------
@@ -360,9 +399,10 @@ def test_xi_conditional_constant_kernel():
     K = KernelSpec(variant="constant", dimension=8)
     xi = R.xi_conditional(X, K, mc_conditional=200, seed=0)
     assert np.array_equal(xi, np.ones(12))
-    Mbar = R.xi_bar_matrix(X, K, mc_conditional=200, seed=0)
+    Mbar = R.xi_bar_matrix(X, xi)
     assert np.allclose(Mbar, X.entries @ X.entries.T / 12)
-    assert np.allclose(R.xi_prime(X, K, xi=xi), 0.0, atol=1e-12)
+    deg, _ = R.adjacency_stream(X, K)
+    assert np.allclose(R.xi_prime(deg, xi), 0.0, atol=1e-12)
 
 
 def test_xi_conditional_rejects_tiny_sample():
@@ -382,7 +422,8 @@ def test_w2_gap_shrinks_with_size():
                            radius=R.indicator_radius_from_z_alpha(0.0, 1.0, p))
             X = sample_data_matrix(p, n, seed=seed)
             M = truncated_covariance(X, K)
-            Mbar = R.xi_bar_matrix(X, K, mc_conditional=1500, seed=seed)
+            Mbar = R.xi_bar_matrix(X, R.xi_conditional(X, K, mc_conditional=1500,
+                                                       seed=seed))
             vals.append(spectra.wasserstein2(
                 spectra.esd(np.linalg.eigvalsh(M)),
                 spectra.esd(np.linalg.eigvalsh(Mbar))))
@@ -397,7 +438,8 @@ def test_xi_prime_scaling_in_n():
     maxima = []
     for n in (200, 800, 3200):
         X = sample_data_matrix(p, n, seed=20)
-        xp = R.xi_prime(X, K, mc_conditional=4000, seed=20)
+        deg, _ = R.adjacency_stream(X, K)
+        xp = R.xi_prime(deg, R.xi_conditional(X, K, mc_conditional=4000, seed=20))
         maxima.append(np.max(np.abs(xp)) / n)
     # decreases roughly like sqrt(log n / n)
     assert maxima[2] < maxima[1] < maxima[0]
