@@ -222,10 +222,13 @@ def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
     X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
                                     config.sigma, seed)
     if config.regime == "semi_high_dim":
-        S = ensemble.normalized_matrix_E(X, K, alpha, config.sigma)
-    else:
-        S = ensemble.truncated_covariance(X, K)
-    return spectra.symmetric_eigenvalues(S)
+        return spectra.symmetric_eigenvalues(
+            ensemble.normalized_matrix_E(X, K, alpha, config.sigma))
+    lam = spectra.symmetric_eigenvalues(ensemble.truncated_covariance(X, K))
+    # M is PSD with rank <= n - 1: snap its round-off zeros (p > n) onto the
+    # law's atom at 0; eigenvalues further below 0 stay visible
+    lam[np.abs(lam) <= config.p * np.finfo(float).eps * np.abs(lam).max()] = 0.0
+    return lam
 
 
 def run_experiment(config: ExperimentConfig, threads=1, check=False,

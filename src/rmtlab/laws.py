@@ -5,7 +5,6 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.stats import norm
 
 from .ensemble import draw_entries, rng_from_seed
@@ -62,23 +61,21 @@ def mp_density(law: MPLaw, x):
 
 
 def mp_cdf(law: MPLaw, x):
-    """MP CDF: numerical integral of the density plus the atom at 0 (c > 1)."""
-    a, b = law.support
-
-    def one(t):
-        if t >= b:
-            return 1.0
-        val = law.atom_at_zero if t >= 0 else 0.0
-        if t > a:
-            integral, _ = integrate.quad(
-                lambda u: mp_density(law, u), a, t, limit=200, epsabs=1e-10)
-            val += integral
-        return min(max(val, 0.0), 1.0)
-
+    """Closed-form MP CDF: the arcsine antiderivative of the density, in
+    arctan2 form so it stays accurate to round-off at both edges, plus the
+    atom at 0 (c > 1)."""
+    c, b = law.c, law.support[1]
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return one(float(x))
-    return np.array([one(t) for t in x.ravel()]).reshape(x.shape)
+    ua, ub = (1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2
+    m, d = 1 + c, abs(1 - c)
+    u = np.clip(x / law.scale, ua, ub)
+    sr = np.sqrt((ub - u) * (u - ua))
+    cont = (sr + m * (np.arctan2(u - m, sr) + np.pi / 2)
+            - d * (np.arctan2(m * u - (1 - c) ** 2, d * sr) + np.pi / 2)) \
+        / (2 * np.pi * c)
+    out = np.where(x >= b, 1.0,
+                   np.clip(cont + np.where(x >= 0, law.atom_at_zero, 0.0), 0.0, 1.0))
+    return out if out.ndim else float(out)
 
 
 def mp_stieltjes(law: MPLaw, z):
@@ -214,13 +211,12 @@ def zeta_indicator(z_alpha, n_atoms=64) -> ZetaDistribution:
 @dataclass(frozen=True)
 class DMoments:
     """Moments of the symmetric pair function d(w, w'): mean, variance, and its
-    law-of-total-variance split; m3 is a diagnostic third absolute moment."""
+    law-of-total-variance split."""
 
     m1: float
     m2: float
     m2_1: float
     m2_2: float
-    m3: float = 0.0
 
     def __post_init__(self):
         if self.m2 <= 0:
@@ -241,14 +237,8 @@ def d_moments(d="squared_difference", entry_law="gaussian", sigma=1.0,
     and variance).
     """
     if d == "squared_difference" and entry_law == "gaussian":
-        s2, s4 = sigma**2, sigma**4
-        # diagnostic only: (w - w')^2 = 2 s2 * Q with Q ~ chi2_1, so
-        # E|d - m1|^3 = 8 s2^3 E|Q - 1|^3, computed by quadrature
-        from scipy.stats import chi2 as _chi2
-        e_abs3, _ = integrate.quad(
-            lambda q: abs(q - 1.0) ** 3 * _chi2.pdf(q, 1), 0, np.inf, limit=200)
-        mom = DMoments(m1=2 * s2, m2=8 * s4, m2_1=2 * s4, m2_2=6 * s4,
-                       m3=8 * s2**3 * e_abs3)
+        s4 = sigma**4
+        mom = DMoments(m1=2 * sigma**2, m2=8 * s4, m2_1=2 * s4, m2_2=6 * s4)
         return (mom, {"m1": 0.0, "m2": 0.0}) if return_stderr else mom
     return _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr)
 
@@ -275,9 +265,7 @@ def _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr):
     m1 = float(cond_mean.mean())
     m2_1 = float(cond_mean.var(ddof=1))
     m2_2 = float(cond_var.mean())
-    m2 = m2_1 + m2_2
-    m3 = float(np.mean(np.abs(vals - cond_mean[:, None]) ** 3))
-    mom = DMoments(m1=m1, m2=m2, m2_1=m2_1, m2_2=m2_2, m3=m3)
+    mom = DMoments(m1=m1, m2=m2_1 + m2_2, m2_1=m2_1, m2_2=m2_2)
     se = {"m1": float(cond_mean.std(ddof=1) / np.sqrt(n_outer)),
           "m2": float(vals.var(ddof=1) / np.sqrt(n_outer))}
     return (mom, se) if return_stderr else mom

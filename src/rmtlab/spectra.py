@@ -54,16 +54,17 @@ def ks_distance(spec: EmpiricalSpectrum, law_cdf):
     """sup_x |F_emp(x) - G(x)| for a monotone law CDF G.
 
     Exact for step-vs-monotone: the sup is attained at a jump point of the
-    empirical CDF, approached from one of the two sides.
+    empirical CDF, approached from one of the two sides. Tied eigenvalues
+    share one jump, so both sides count every copy.
     """
     lam = spec.eigenvalues
     n = lam.size
     g = np.asarray(law_cdf(lam), dtype=float)
     # left limits handle law CDFs that jump at the eigenvalues themselves
-    # (e.g. comparing a spectrum against another empirical CDF)
+    # (atoms, or another empirical CDF)
     g_left = np.asarray(law_cdf(np.nextafter(lam, -np.inf)), dtype=float)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
+    upper = np.searchsorted(lam, lam, side="right") / n
+    lower = np.searchsorted(lam, lam, side="left") / n
     d = max(np.abs(upper - g).max(), np.abs(lower - g_left).max())
     return float(min(max(d, 0.0), 1.0))
 

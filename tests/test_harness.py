@@ -209,6 +209,14 @@ def test_run_experiment_validates_config_with_kernel(tmp_path):
         harness.run_experiment(cfg, kernel=K, write_artifacts=False)
 
 
+def test_run_experiment_wide_matrix_scores_zero_eigenvalues_on_atom(tmp_path):
+    # p > n: M has p - n + 1 zero eigenvalues, which the eigensolver returns
+    # as +-1e-15; MP(2, 1) puts its atom of mass 1/2 at 0
+    cfg = _cfg(tmp_path, p=200, n=100, trials=1, master_seed=7)
+    rep = harness.run_experiment(cfg, write_artifacts=False)
+    assert rep["pooled_ks"] <= 0.05
+
+
 # ---------------------------------------------------------------------------
 # named experiments
 # ---------------------------------------------------------------------------
@@ -353,6 +361,16 @@ def test_cli_figure2_runs(tmp_path, capsys):
                      "--trials", "1", "--out", str(tmp_path / "f2")])
     assert code == 0
     assert "pooled KS" in capsys.readouterr().out
+
+
+def test_cli_semicircle_names_gating_ks(tmp_path, capsys):
+    out = tmp_path / "sc"
+    cli.main(["--check", "semicircle", "--p", "40", "--n", "400", "--trials",
+              "1", "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == (f"--check gates on pooled_ks_shifted = "
+                    f"{report['pooled_ks_shifted']:.4f} (threshold 0.08)")
 
 
 def test_cli_parser_requires_command():

@@ -87,6 +87,44 @@ def test_mp_cdf_monotone():
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+def _mp_cdf_reference(law, x):
+    """MP CDF by quadrature after u = a + (b - a) sin^2(t), which removes the
+    square-root singularities of the density at both edges."""
+    a, b = law.support
+    atom = law.atom_at_zero if x >= 0 else 0.0
+    if x >= b:
+        return 1.0
+    if x <= a:
+        return atom
+    theta = np.arcsin(np.sqrt((x - a) / (b - a)))
+    f = lambda t: (((b - a) * np.sin(t) * np.cos(t)) ** 2
+                   / (np.pi * law.scale * law.c * (a + (b - a) * np.sin(t) ** 2)))
+    val, _ = integrate.quad(f, 0.0, theta, epsabs=1e-14, epsrel=1e-13, limit=200)
+    return atom + val
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+@pytest.mark.parametrize("c", [0.05, 0.4, 0.999, 1.0, 1.001, 2.0, 2.5])
+def test_mp_cdf_closed_form_matches_substituted_quadrature(c, scale):
+    law = MPLaw(c=c, scale=scale)
+    a, b = law.support
+    ks = np.arange(2, 13)
+    x = np.concatenate([np.linspace(a - 0.1, b + 0.1, 201),
+                        a + scale * 10.0 ** -ks, b - scale * 10.0 ** -ks,
+                        [0.0, 1e-12, -1e-12, a, b]])
+    ref = np.array([_mp_cdf_reference(law, t) for t in x])
+    assert np.max(np.abs(mp_cdf(law, x) - ref)) <= 1e-12
+    if c > 1:
+        assert mp_cdf(law, 0.0) == pytest.approx(1 - 1 / c, abs=1e-12)
+        assert mp_cdf(law, -1e-12) == 0.0
+    scalar = mp_cdf(law, 0.5 * (a + b))
+    assert type(scalar) is float
+    assert scalar == pytest.approx(_mp_cdf_reference(law, 0.5 * (a + b)), abs=1e-12)
+    grid = x[:200].reshape(4, 50)
+    assert mp_cdf(law, grid).shape == (4, 50)
+    assert np.array_equal(mp_cdf(law, grid), mp_cdf(law, x[:200]).reshape(4, 50))
+
+
 def test_mp_law_validation():
     with pytest.raises(ValueError):
         MPLaw(c=0.0)
@@ -201,7 +239,6 @@ def test_d_moments_closed_form():
     assert (mom.m1, mom.m2, mom.m2_1, mom.m2_2) == (2.0, 8.0, 2.0, 6.0)
     mom4 = d_moments("squared_difference", "gaussian", sigma=2.0)
     assert (mom4.m1, mom4.m2, mom4.m2_1, mom4.m2_2) == (8.0, 128.0, 32.0, 96.0)
-    assert mom.m3 > 0
 
 
 def test_d_moments_monte_carlo_consistency():

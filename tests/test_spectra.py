@@ -115,6 +115,16 @@ def test_ks_disjoint_point_masses():
     assert ks_distance(spec, point_at_one) == 1.0
 
 
+def test_ks_counts_tied_eigenvalues_together():
+    spec = esd([1.0, 1.0, 2.0])
+    assert ks_distance(spec, spec.cdf) == 0.0
+
+
+def test_ks_exact_against_two_atom_law():
+    two_atoms = lambda x: 0.5 * (np.asarray(x) >= 0.0) + 0.5 * (np.asarray(x) >= 1.0)
+    assert ks_distance(esd([0.0, 0.0, 1.0, 1.0]), two_atoms) == 0.0
+
+
 def test_ks_against_mp_sample():
     # inverse-transform sample from MP(0.4, 1), then compare to its own CDF
     law = laws.MPLaw(c=0.4, scale=1.0)
