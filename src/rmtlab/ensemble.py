@@ -164,24 +164,41 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
     """Degrees deg = A 1 and W A W^T of the adjacency A_ij = K(X_i, X_j)
     (zero diagonal) without materialising A.
 
-    Streams column blocks of A, so memory stays O(n * block).
+    A is symmetric, so only its upper-triangular block x block tiles
+    (I, J), J >= I, are formed, each once: W A W^T = D + S + S^T with D the
+    diagonal tiles' W_I A_II W_I^T and S the off-diagonal tiles'
+    W_I A_IJ W_J^T. Memory beyond X stays O(p^2 + block^2).
     """
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     W, p, n = X.entries, X.p, X.n
     sqn = np.einsum("ij,ij->j", W, W)
     deg = np.zeros(n)
-    XA = np.zeros((p, n))
+    D = np.zeros((p, p))
+    S = np.zeros((p, p))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        sq = sqn[:, None] + sqn[None, lo:hi] - 2.0 * (W.T @ W[:, lo:hi])
-        np.maximum(sq, 0.0, out=sq)
-        Ablk = K.eval_sqdist(sq)
-        # zero the diagonal entries that fall inside this block
-        Ablk[np.arange(lo, hi), np.arange(hi - lo)] = 0.0
-        deg[lo:hi] = Ablk.sum(axis=0)
-        XA[:, lo:hi] = W @ Ablk
-    return deg, XA @ W.T
+        for lo2 in range(lo, n, block):
+            hi2 = min(lo2 + block, n)
+            sq = W[:, lo:hi].T @ W[:, lo2:hi2]
+            # scaling the Gram block g by -2 is exact, so sq rounds as
+            # (sqn_i + sqn_j) - 2 g and a pair on the indicator radius cannot flip
+            sq *= -2.0
+            sq += np.add.outer(sqn[lo:hi], sqn[lo2:hi2])
+            np.maximum(sq, 0.0, out=sq)
+            A = K.eval_sqdist(sq)
+            if lo2 == lo:
+                np.fill_diagonal(A, 0.0)
+                deg[lo:hi] += A.sum(axis=0)
+                D += (W[:, lo:hi] @ A) @ W[:, lo:hi].T
+            else:
+                deg[lo:hi] += A.sum(axis=1)
+                deg[lo2:hi2] += A.sum(axis=0)
+                S += (W[:, lo:hi] @ A) @ W[:, lo2:hi2].T
+            del sq, A  # free this tile before the next one is formed
+    return deg, D + S + S.T
 
 
 def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):

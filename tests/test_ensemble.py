@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,30 @@ def test_streamed_equals_pair_sum(variant, n, block):
     M1 = truncated_covariance_direct(X, K)
     M2 = truncated_covariance(X, K, block=block)
     assert np.linalg.norm(M1 - M2) <= 1e-10 * max(np.linalg.norm(M1), 1e-30)
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_stream_rejects_block_below_one(block):
+    X = sample_data_matrix(5, 6, seed=1)
+    K = KernelSpec(variant="constant", dimension=5)
+    with pytest.raises(ValueError, match="block"):
+        adjacency_stream(X, K, block=block)
+    with pytest.raises(ValueError, match="block"):
+        truncated_covariance(X, K, block=block)
+
+
+def test_stream_memory_stays_below_one_column_block():
+    # the tiles are block x block: the traced peak must stay below a single
+    # n x block array, which any route over column blocks of A would need
+    X = sample_data_matrix(20, 4000, seed=1)
+    K = KernelSpec(variant="gaussian", dimension=20, tau=1.0)
+    tracemalloc.start()
+    try:
+        truncated_covariance(X, K, block=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 256 * 8
 
 
 def test_m_is_positive_semidefinite():

@@ -171,6 +171,22 @@ def test_run_experiment_deterministic_and_thread_invariant(tmp_path):
             == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_semi_high_dim_multi_tile_thread_invariant(tmp_path):
+    # n above the default block of 2048, so each trial walks a 2 x 2 tile grid
+    cfg = _cfg(tmp_path, regime="semi_high_dim", p=50, n=2100,
+               kernel_variant="indicator", kernel_z_alpha=0.0, trials=2)
+
+    def snapshot(threads):
+        harness.run_experiment(cfg, threads=threads)
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        report.pop("runtime_seconds")
+        return ((out / "histogram.csv").read_bytes(), (out / "law.csv").read_bytes(),
+                json.dumps(report, sort_keys=True))
+
+    assert snapshot(1) == snapshot(2)
+
+
 def test_run_experiment_check_breach_flag(tmp_path, monkeypatch):
     monkeypatch.setitem(harness.CHECK_THRESHOLDS, "mp", 1e-9)
     cfg = _cfg(tmp_path, p=60, n=150, trials=1)
