@@ -24,11 +24,12 @@ def main():
         print(f"beta={beta:+.1f}  (z_alpha={z_alpha:+.3f}, "
               f"radius={cfg.indicator_radius():.2f})")
         print(f"  solver residual {rep['solver']['max_residual']:.2e} "
-              f"in {rep['solver']['iterations']} iterations")
+              f"in {rep['solver']['iterations']} iterations "
+              f"({rep['solver']['fallback_points']} points on the damped map)")
         print(f"  pooled KS vs generalized MP: {rep['pooled_ks']:.4f}")
         print(f"  mean eigenvalue {rep['pooled_mean_eigenvalue']:.4f} "
               f"vs asymptotic sigma^2 E[zeta] = {zeta.mean():.4f}")
-        print(f"  estimated atom at 0: {rep['law_params']['atom_at_zero']:.4f}")
+        print(f"  atom at 0 (rank deficit): {rep['law_params']['atom_at_zero']:.4f}")
 
 
 if __name__ == "__main__":

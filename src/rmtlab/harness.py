@@ -267,7 +267,8 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
 
     runtime = time.perf_counter() - t0
     solver = {"max_residual": law.solution.max_residual,
-              "iterations": law.solution.iterations} \
+              "iterations": law.solution.iterations,
+              "fallback_points": law.solution.fallback_points} \
         if isinstance(law, laws.GenMPLaw) else None
     report = {
         "config": _config_echo(config),

@@ -291,35 +291,104 @@ def zeta_general(phi_tilde, moments: DMoments, n_outer=64, n_inner=64) -> ZetaDi
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point solver for the generalized Marchenko-Pastur transform
+# Solver for the generalized Marchenko-Pastur transform
 # ---------------------------------------------------------------------------
+
+# Cap on the vectorized Newton steps of one solve; points still above tol
+# after them go to the damped map.
+NEWTON_STEPS = 50
+# Step halvings tried before a point is taken to have no descent direction.
+_HALVINGS = 40
+
 
 @dataclass(frozen=True)
 class StieltjesSolution:
-    """Solver output on a grid of upper-half-plane points."""
+    """Solver output on a grid of upper-half-plane points: `iterations`
+    counts Newton steps plus damped-map iterations, `fallback_points` the
+    points the damped map had to finish."""
 
     grid: np.ndarray
     values: np.ndarray
     iterations: int
     max_residual: float
+    fallback_points: int
 
 
-def _fixed_point_residual(s, z, c, sigma, values, weights):
-    rhs = np.einsum("k,...k->...", weights,
-                    sigma**2 * s[..., None] * values
-                    / (1.0 + c * sigma**2 * s[..., None] * values))
-    return np.abs(1.0 + z * s - rhs)
+def _equation(s, z, c, sigma, zeta):
+    """F(s) = 1 + z s - E[sigma^2 s zeta / (1 + c sigma^2 s zeta)] and
+    F'(s) = z - E[sigma^2 zeta / (1 + c sigma^2 s zeta)^2], pointwise."""
+    a = sigma**2 * zeta.values
+    denom = 1.0 + c * a * s[:, None]
+    q = zeta.weights * a / denom
+    return 1.0 + z * s - s * q.sum(axis=1), z - (q / denom).sum(axis=1)
+
+
+def _newton(s, z, c, sigma, zeta, tol):
+    """Newton steps on F, each halved until |F| decreases and Im s > 0.
+
+    A point stops after the step taken from |F| <= tol, which brings s to
+    round-off, or when it finds no descent. Returns the iterates, their |F|
+    and the number of steps taken.
+    """
+    F, dF = _equation(s, z, c, sigma, zeta)
+    active = np.arange(z.size)
+    steps = 0
+    while active.size and steps < NEWTON_STEPS:
+        steps += 1
+        step, r = -F[active] / dF[active], np.abs(F[active])
+        pending = np.arange(active.size)
+        for k in range(_HALVINGS):
+            idx = active[pending]
+            s_try = s[idx] + 0.5**k * step[pending]
+            F_try, dF_try = _equation(s_try, z[idx], c, sigma, zeta)
+            ok = (np.abs(F_try) < r[pending]) & (s_try.imag > 0)
+            s[idx[ok]], F[idx[ok]], dF[idx[ok]] = s_try[ok], F_try[ok], dF_try[ok]
+            # a point already at tol is at round-off after the full step or
+            # never: it takes that step or none, without halving
+            pending = pending[~ok & (r[pending] > tol)]
+            if not pending.size:
+                break
+        descended = np.ones(active.size, dtype=bool)
+        descended[pending] = False
+        active = active[descended & (r > tol)]
+    return s, np.abs(F), steps
+
+
+def _damped_map(s, z, c, sigma, zeta, damping, tol, max_iter):
+    """Damped iteration of the rearranged map
+        s <- (1 - eta) s + eta / (-z + E[sigma^2 zeta / (1 + c sigma^2 zeta s)]),
+    lowering eta on stagnation. Returns the iterates, their |F| and the
+    iteration count.
+    """
+    a = sigma**2 * zeta.values
+    total_iters = 0
+    for eta in (damping, 0.25, 0.1):
+        for _ in range(max_iter):
+            expect = (zeta.weights * a / (1.0 + c * a * s[:, None])).sum(axis=1)
+            s_new = (1.0 - eta) * s + eta / (-z + expect)
+            # keep iterates in the closed upper half-plane
+            s_new = np.where(s_new.imag > 0, s_new, s)
+            delta = np.max(np.abs(s_new - s))
+            s = s_new
+            total_iters += 1
+            if delta < 0.01 * tol:
+                break
+        res = np.abs(_equation(s, z, c, sigma, zeta)[0])
+        if res.max() <= tol:
+            return s, res, total_iters
+    raise SolverError(
+        f"fixed point not converged: max residual {res.max():.3e} > tol {tol:.1e} "
+        f"after {total_iters} iterations")
 
 
 def solve_nonsmooth_stieltjes(z, c, sigma, zeta: ZetaDistribution,
                               damping=0.5, tol=1e-10, max_iter=10000,
                               init=None):
-    """Solve 1 + z s = E[sigma^2 s zeta / (1 + c sigma^2 s zeta)] in C+.
+    """Solve 1 + z s = E[sigma^2 s zeta / (1 + c sigma^2 s zeta)] in C+ at
+    one point, by `solve_stieltjes_grid`.
 
-    Damped iteration of the rearranged map
-        s <- (1 - eta) s + eta / (-z + E[sigma^2 zeta / (1 + c sigma^2 zeta s)]).
     The equation has a unique upper-half-plane solution, so the answer is
-    initialization-independent; on stagnation the damping is lowered.
+    initialization-independent.
     """
     if c <= 0 or sigma <= 0:
         raise ValueError("need c > 0 and sigma > 0")
@@ -332,35 +401,27 @@ def solve_nonsmooth_stieltjes(z, c, sigma, zeta: ZetaDistribution,
 def solve_stieltjes_grid(z_grid, c, sigma, zeta: ZetaDistribution,
                          damping=0.5, tol=1e-10, max_iter=10000,
                          init=None) -> StieltjesSolution:
-    """Vectorized fixed-point solve over a grid of upper-half-plane points."""
+    """Vectorized solve of 1 + z s = E[sigma^2 s zeta / (1 + c sigma^2 s zeta)]
+    over a grid of upper-half-plane points, to residual tol.
+
+    Backtracking Newton steps from `init` (default i / (1 + |z|)), at most
+    NEWTON_STEPS of them; points still above tol are finished by the damped
+    map (`damping`, `max_iter`), which raises SolverError if it fails too.
+    """
     z = np.asarray(z_grid, dtype=complex).ravel()
     if np.any(z.imag <= 0):
         raise ValueError("all grid points must have Im z > 0")
-    values = zeta.values[None, :]
-    weights = zeta.weights
     s = np.full(z.shape, init, dtype=complex) if init is not None \
         else 1j / (1.0 + np.abs(z))
-    total_iters = 0
-    for eta in (damping, 0.25, 0.1):
-        for it in range(max_iter):
-            denom = 1.0 + c * sigma**2 * values * s[:, None]
-            expect = (weights * (sigma**2 * zeta.values) / denom).sum(axis=1)
-            s_new = (1.0 - eta) * s + eta / (-z + expect)
-            # keep iterates in the closed upper half-plane
-            s_new = np.where(s_new.imag > 0, s_new, s)
-            delta = np.max(np.abs(s_new - s))
-            s = s_new
-            total_iters += 1
-            if delta < 0.01 * tol:
-                break
-        res = _fixed_point_residual(s, z, c, sigma, zeta.values, weights)
-        if res.max() <= tol:
-            return StieltjesSolution(grid=z, values=s, iterations=total_iters,
-                                     max_residual=float(res.max()))
-    res = _fixed_point_residual(s, z, c, sigma, zeta.values, weights)
-    raise SolverError(
-        f"fixed point not converged: max residual {res.max():.3e} > tol {tol:.1e} "
-        f"after {total_iters} iterations")
+    s, res, iterations = _newton(s, z, c, sigma, zeta, tol)
+    slow = np.flatnonzero(res > tol)
+    if slow.size:
+        s[slow], res[slow], map_iters = _damped_map(
+            s[slow], z[slow], c, sigma, zeta, damping, tol, max_iter)
+        iterations += map_iters
+    return StieltjesSolution(grid=z, values=s, iterations=iterations,
+                             max_residual=float(res.max()),
+                             fallback_points=int(slow.size))
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +442,6 @@ def stieltjes_invert(s_fn, x_grid, v):
         raise InversionQualityError(
             f"inversion produced density < -1e-8 ({f.min():.3e})")
     return np.maximum(f, 0.0)
-
-
-def estimate_atom_at_zero(s_fn, v=1e-4):
-    """Mass estimate v * |s(i v)| for an atom at 0 (reported, not certified)."""
-    return float(v * abs(s_fn(1j * v)))
 
 
 def generalized_mp_cdf(x_grid, density, atom_at_zero=0.0):
@@ -423,8 +479,10 @@ class GenMPLaw:
     """Generalized MP law of the fixed point with weights zeta, tabulated on
     the real grid by Stieltjes-Perron inversion at height v.
 
-    The constructor solves the fixed point on grid + i v, inverts it to a
-    density, estimates the atom at 0 and assembles the renormalized CDF.
+    The constructor solves the fixed point on grid + i v, takes the exact
+    atom at 0, the rank deficit max(0, 1 - P(zeta > 0) / c) of
+    sum_i zeta_i x_i x_i^T / n, removes its transform -atom / z, inverts the
+    rest to a density and assembles the renormalized CDF.
     """
 
     c: float
@@ -440,10 +498,12 @@ class GenMPLaw:
 
     def __post_init__(self):
         c, sigma, zeta = self.c, self.sigma, self.zeta
+        if c <= 0 or sigma <= 0:
+            raise ValueError("GenMPLaw needs c > 0 and sigma > 0")
         sol = solve_stieltjes_grid(self.grid + 1j * self.v, c, sigma, zeta)
-        density = stieltjes_invert(lambda z: sol.values, self.grid, self.v)
-        atom = estimate_atom_at_zero(
-            lambda z: solve_nonsmooth_stieltjes(z, c, sigma, zeta))
+        atom = max(0.0, 1.0 - float(zeta.weights[zeta.values > 0].sum()) / c)
+        density = stieltjes_invert(lambda z: sol.values + atom / z,
+                                   self.grid, self.v)
         cdf = generalized_mp_cdf(self.grid, density, atom_at_zero=atom)
         for name, value in (("solution", sol), ("grid_density", density),
                             ("atom_at_zero", atom),

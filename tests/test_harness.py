@@ -233,6 +233,18 @@ def test_run_experiment_wide_matrix_scores_zero_eigenvalues_on_atom(tmp_path):
     assert rep["pooled_ks"] <= 0.05
 
 
+def test_run_experiment_wide_indicator_uses_exact_atom(tmp_path):
+    # p > n: the genMP law has the atom 1 - 1/c = 0.6 at 0, the rank deficit
+    cfg = _cfg(tmp_path, p=250, n=100, kernel_variant="indicator",
+               kernel_beta=0.1, trials=1)
+    rep = harness.run_experiment(cfg, write_artifacts=False)
+    assert rep["law_params"]["atom_at_zero"] == pytest.approx(0.6, abs=1e-12)
+    assert rep["law_params"]["mass_correction"] == pytest.approx(1.0, abs=0.03)
+    assert rep["pooled_ks"] <= 0.06
+    assert rep["solver"]["max_residual"] <= 1e-10
+    assert set(rep["solver"]) == {"max_residual", "iterations", "fallback_points"}
+
+
 # ---------------------------------------------------------------------------
 # named experiments
 # ---------------------------------------------------------------------------
@@ -361,6 +373,15 @@ def test_cli_genmp_law_matches_run_experiment(tmp_path):
                kernel_z_alpha=0.3, trials=1, output_dir=str(tmp_path / "run"))
     harness.run_experiment(cfg)
     assert cli_out.read_bytes() == (tmp_path / "run" / "law.csv").read_bytes()
+
+
+def test_cli_genmp_law_wide_matrix(tmp_path):
+    out = tmp_path / "genmp.csv"
+    assert cli.main(["law", "--type", "genmp", "--c", "2.5", "--out", str(out)]) == 0
+    x, f, F = np.loadtxt(out, delimiter=",", skiprows=1).T
+    mass = np.trapezoid(f, x) + (1.0 - 1.0 / 2.5)
+    assert 0.97 <= mass <= 1.03
+    assert F[-1] == 1.0
 
 
 def test_cli_mp_law_matches_figure1_overlay(tmp_path):

@@ -356,6 +356,36 @@ def test_solver_tail_asymptotics():
     assert abs(s * 1j * y + 1.0) < 2.0 * zeta.mean() / y
 
 
+@pytest.mark.parametrize("c", [0.1, 1.0, 2.5])
+def test_solver_sweep_residual_and_upper_half_plane(c):
+    x = np.linspace(0.0, 1.15 * MPLaw(c=c, scale=1.0).support[1], 200)
+    for z_alpha in (-1.5, 0.0, 1.5):
+        for v in (1e-3, 1e-1):
+            sol = solve_stieltjes_grid(x + 1j * v, c, 1.0, zeta_indicator(z_alpha))
+            assert sol.max_residual <= 1e-10
+            assert np.all(sol.values.imag > 0)
+
+
+def test_solver_fallback_agrees_with_newton(monkeypatch):
+    zeta = zeta_indicator(0.5)
+    z = np.linspace(0.0, 3.0, 120) + 1e-3j
+    newton = solve_stieltjes_grid(z, 0.4, 1.0, zeta)
+    assert newton.fallback_points == 0
+    assert newton.iterations <= laws.NEWTON_STEPS
+    monkeypatch.setattr(laws, "NEWTON_STEPS", 0)
+    damped = solve_stieltjes_grid(z, 0.4, 1.0, zeta)
+    assert damped.fallback_points == z.size
+    assert damped.max_residual <= 1e-10
+    assert np.max(np.abs(damped.values - newton.values)) <= 1e-9
+
+
+def test_solver_error_when_fallback_fails(monkeypatch):
+    monkeypatch.setattr(laws, "NEWTON_STEPS", 0)
+    with pytest.raises(laws.SolverError, match="not converged"):
+        solve_stieltjes_grid(np.linspace(0.1, 2.0, 20) + 1e-3j, 0.4, 1.0,
+                             zeta_indicator(0.0), max_iter=3)
+
+
 def test_solver_rejects_bad_arguments():
     zeta = zeta_indicator(0.0)
     with pytest.raises(ValueError):
@@ -443,7 +473,21 @@ def test_generalized_cdf_rejects_bad_mass():
         generalized_mp_cdf(x, np.full(11, -1.0))
 
 
-def test_estimate_atom_at_zero():
-    # measure = 0.3 delta_0 + 0.7 delta_1 has transform 0.3/(-z) + 0.7/(1-z)
-    s_fn = lambda z: 0.3 / (-z) + 0.7 / (1.0 - z)
-    assert laws.estimate_atom_at_zero(s_fn) == pytest.approx(0.3, abs=1e-3)
+@pytest.mark.parametrize("c, atom", [(0.4, 0.0), (2.5, 0.6)])
+def test_genmp_law_exact_atom_at_zero(c, atom):
+    # all indicator atoms are positive, so the rank deficit is max(0, 1 - 1/c)
+    x = np.linspace(0.0, 1.15 * MPLaw(c=c, scale=1.0).support[1], 400)
+    law = laws.GenMPLaw(c, 1.0, zeta_indicator(0.5), x, 1e-3)
+    assert law.atom_at_zero == pytest.approx(atom, abs=1e-12)
+    mass = np.trapezoid(law.grid_density, x) + atom
+    assert 0.99 <= mass <= 1.01
+    assert law.cdf(-1e-12) == 0.0
+    assert law.cdf(0.0) == pytest.approx(atom, abs=1e-2)
+
+
+def test_genmp_law_rejects_bad_parameters():
+    x = np.linspace(0.0, 3.0, 50)
+    with pytest.raises(ValueError):
+        laws.GenMPLaw(-0.4, 1.0, zeta_indicator(0.0), x, 1e-3)
+    with pytest.raises(ValueError):
+        laws.GenMPLaw(0.4, 0.0, zeta_indicator(0.0), x, 1e-3)
