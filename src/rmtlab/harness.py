@@ -126,7 +126,12 @@ class ExperimentConfig:
                 continue
             if field_name == "stieltjes_v_schedule":
                 value = ",".join(repr(float(v)) for v in value)
-            lines.append(f"{inv[field_name]} = {value}")
+            text = str(value)
+            # from_file would cut the value at '#' or at a line break
+            if "#" in text or "".join(text.splitlines()) != text:
+                raise ValueError(f"{inv[field_name]} = {text!r}: a config value "
+                                 "cannot hold '#' or a line break")
+            lines.append(f"{inv[field_name]} = {text}")
         Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,7 +11,7 @@ from .ensemble import draw_entries, rng_from_seed
 
 
 class SolverError(RuntimeError):
-    """Fixed-point iteration failed to reach the requested residual."""
+    """The fixed-point solve failed to reach the requested residual."""
 
 
 class InversionQualityError(RuntimeError):
@@ -294,18 +294,21 @@ def zeta_general(phi_tilde, moments: DMoments, n_outer=64, n_inner=64) -> ZetaDi
 # Solver for the generalized Marchenko-Pastur transform
 # ---------------------------------------------------------------------------
 
-# Cap on the vectorized Newton steps of one solve; points still above tol
-# after them go to the damped map.
+# Cap on the vectorized Newton steps of one solve.
 NEWTON_STEPS = 50
 # Step halvings tried before a point is taken to have no descent direction.
 _HALVINGS = 40
+# Points where the cold Newton stalls are re-solved at heights
+# max(Im z, _LADDER_TOP / 10^k), k = 0, 1, ..., each level started from the
+# roots of the one above.
+_LADDER_TOP = 0.1
 
 
 @dataclass(frozen=True)
 class StieltjesSolution:
     """Solver output on a grid of upper-half-plane points: `iterations`
-    counts Newton steps plus damped-map iterations, `fallback_points` the
-    points the damped map had to finish."""
+    counts Newton steps, `fallback_points` the points re-solved from above
+    because the cold Newton found no descent."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -354,36 +357,8 @@ def _newton(s, z, c, sigma, zeta, tol):
     return s, np.abs(F), steps
 
 
-def _damped_map(s, z, c, sigma, zeta, damping, tol, max_iter):
-    """Damped iteration of the rearranged map
-        s <- (1 - eta) s + eta / (-z + E[sigma^2 zeta / (1 + c sigma^2 zeta s)]),
-    lowering eta on stagnation. Returns the iterates, their |F| and the
-    iteration count.
-    """
-    a = sigma**2 * zeta.values
-    total_iters = 0
-    for eta in (damping, 0.25, 0.1):
-        for _ in range(max_iter):
-            expect = (zeta.weights * a / (1.0 + c * a * s[:, None])).sum(axis=1)
-            s_new = (1.0 - eta) * s + eta / (-z + expect)
-            # keep iterates in the closed upper half-plane
-            s_new = np.where(s_new.imag > 0, s_new, s)
-            delta = np.max(np.abs(s_new - s))
-            s = s_new
-            total_iters += 1
-            if delta < 0.01 * tol:
-                break
-        res = np.abs(_equation(s, z, c, sigma, zeta)[0])
-        if res.max() <= tol:
-            return s, res, total_iters
-    raise SolverError(
-        f"fixed point not converged: max residual {res.max():.3e} > tol {tol:.1e} "
-        f"after {total_iters} iterations")
-
-
 def solve_nonsmooth_stieltjes(z, c, sigma, zeta: ZetaDistribution,
-                              damping=0.5, tol=1e-10, max_iter=10000,
-                              init=None):
+                              tol=1e-10, init=None):
     """Solve 1 + z s = E[sigma^2 s zeta / (1 + c sigma^2 s zeta)] in C+ at
     one point, by `solve_stieltjes_grid`.
 
@@ -393,32 +368,42 @@ def solve_nonsmooth_stieltjes(z, c, sigma, zeta: ZetaDistribution,
     if c <= 0 or sigma <= 0:
         raise ValueError("need c > 0 and sigma > 0")
     sol = solve_stieltjes_grid(np.asarray([complex(z)]), c, sigma, zeta,
-                               damping=damping, tol=tol, max_iter=max_iter,
-                               init=init)
+                               tol=tol, init=init)
     return complex(sol.values[0])
 
 
 def solve_stieltjes_grid(z_grid, c, sigma, zeta: ZetaDistribution,
-                         damping=0.5, tol=1e-10, max_iter=10000,
-                         init=None) -> StieltjesSolution:
+                         tol=1e-10, init=None) -> StieltjesSolution:
     """Vectorized solve of 1 + z s = E[sigma^2 s zeta / (1 + c sigma^2 s zeta)]
     over a grid of upper-half-plane points, to residual tol.
 
     Backtracking Newton steps from `init` (default i / (1 + |z|)), at most
-    NEWTON_STEPS of them; points still above tol are finished by the damped
-    map (`damping`, `max_iter`), which raises SolverError if it fails too.
+    NEWTON_STEPS of them. Points still above tol are solved again by Newton,
+    continued down in height from Im z = _LADDER_TOP (Dobriban, RMTA 2015);
+    SolverError if one is still above tol at its own height.
     """
     z = np.asarray(z_grid, dtype=complex).ravel()
     if np.any(z.imag <= 0):
         raise ValueError("all grid points must have Im z > 0")
-    s = np.full(z.shape, init, dtype=complex) if init is not None \
+    s0 = np.full(z.shape, init, dtype=complex) if init is not None \
         else 1j / (1.0 + np.abs(z))
-    s, res, iterations = _newton(s, z, c, sigma, zeta, tol)
+    s, res, iterations = _newton(s0.copy(), z, c, sigma, zeta, tol)
     slow = np.flatnonzero(res > tol)
     if slow.size:
-        s[slow], res[slow], map_iters = _damped_map(
-            s[slow], z[slow], c, sigma, zeta, damping, tol, max_iter)
-        iterations += map_iters
+        zs, ss, k = z[slow], s0[slow], 0
+        while True:
+            height = _LADDER_TOP / 10.0**k
+            ss, rs, steps = _newton(ss, zs.real + 1j * np.maximum(zs.imag, height),
+                                    c, sigma, zeta, tol)
+            iterations += steps
+            if height <= zs.imag.min():
+                break
+            k += 1
+        if rs.max() > tol:
+            raise SolverError(
+                f"fixed point not converged: max residual {rs.max():.3e} > "
+                f"tol {tol:.1e} after {iterations} Newton steps")
+        s[slow], res[slow] = ss, rs
     return StieltjesSolution(grid=z, values=s, iterations=iterations,
                              max_residual=float(res.max()),
                              fallback_points=int(slow.size))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import rmtlab as R
+from rmtlab import ensemble as R
 from oracle import truncated_covariance_direct
 from rmtlab.ensemble import (
     KernelSpec,

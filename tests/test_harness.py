@@ -49,6 +49,9 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "exp.cfg"
     cfg.to_file(path)
     assert ExperimentConfig.from_file(path) == cfg
+    for bad in ("runs/#3", "runs/a\nb"):
+        with pytest.raises(ValueError, match="cannot hold"):
+            ExperimentConfig(output_dir=bad).to_file(tmp_path / "bad.cfg")
 
 
 def test_config_file_parsing_details(tmp_path):

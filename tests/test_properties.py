@@ -11,6 +11,7 @@ from rmtlab.ensemble import (
     sample_data_matrix,
     truncated_covariance,
 )
+from rmtlab.laws import MPLaw, solve_stieltjes_grid, zeta_indicator
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -52,3 +53,14 @@ def test_tiled_stream_equals_pair_sum(case):
         np.fill_diagonal(A, 0.0)
         deg, _ = adjacency_stream(X, K, block=block)
         assert np.array_equal(deg, A.sum(axis=1))
+
+
+@hypothesis.settings(SETTINGS, max_examples=200)
+@hypothesis.given(c=st.floats(0.05, 10.0), sigma=st.floats(0.5, 2.0),
+                  z_alpha=st.floats(-3.0, 3.0), log_v=st.floats(-4.0, -1.0))
+def test_solver_residual_and_upper_half_plane(c, sigma, z_alpha, log_v):
+    x = np.linspace(-0.1 * sigma**2, 2 * MPLaw(c, sigma**2).support[1], 100)
+    sol = solve_stieltjes_grid(x + 1j * 10.0**log_v, c, sigma,
+                               zeta_indicator(z_alpha))
+    assert sol.max_residual <= 1e-10
+    assert np.all(sol.values.imag > 0)
