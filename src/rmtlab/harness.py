@@ -127,10 +127,12 @@ class ExperimentConfig:
             if field_name == "stieltjes_v_schedule":
                 value = ",".join(repr(float(v)) for v in value)
             text = str(value)
-            # from_file would cut the value at '#' or at a line break
-            if "#" in text or "".join(text.splitlines()) != text:
+            # from_file would cut the value at '#' or at a line break and
+            # strip its leading and trailing blanks
+            if ("#" in text or "".join(text.splitlines()) != text
+                    or text.strip() != text):
                 raise ValueError(f"{inv[field_name]} = {text!r}: a config value "
-                                 "cannot hold '#' or a line break")
+                                 "cannot hold '#', a line break or edge blanks")
             lines.append(f"{inv[field_name]} = {text}")
         Path(path).write_text("\n".join(lines) + "\n")
 

@@ -197,6 +197,36 @@ def test_streamed_equals_pair_sum(variant, n, block):
     assert np.linalg.norm(M1 - M2) <= 1e-10 * max(np.linalg.norm(M1), 1e-30)
 
 
+@pytest.mark.parametrize("variant", ["custom", "gaussian", "indicator"])
+def test_stream_over_many_row_chunks_equals_pair_sum(variant):
+    # n = 2100 walks each tile in many row chunks: with block 2048 a 2048-wide
+    # tile and a 52-wide ragged one, with block 700 three 700-wide tiles per
+    # row whose chunks do not divide 700
+    X = sample_data_matrix(40, 2100, seed=21)
+    K = KernelSpec(variant=variant, dimension=40, **KERNELS[variant])
+    M1 = truncated_covariance_direct(X, K)
+    A = K.gram(X.entries)
+    np.fill_diagonal(A, 0.0)
+    for block in (2048, 700):
+        M2 = truncated_covariance(X, K, block=block)
+        assert np.linalg.norm(M1 - M2) <= 1e-10 * np.linalg.norm(M1)
+        if variant == "indicator":
+            deg, _ = adjacency_stream(X, K, block=block)
+            assert np.array_equal(deg, A.sum(axis=1))
+
+
+@pytest.mark.parametrize("block", [2048, 700])
+def test_stream_checks_custom_profile_in_every_chunk(block):
+    # the profile leaves [0, 1] only at the largest squared distances, which
+    # lie in some later chunk of some tile
+    X = sample_data_matrix(40, 2100, seed=21)
+    top = 0.999 * pairwise_sqdist(X.entries).max()
+    K = KernelSpec(variant="custom", dimension=40,
+                   profile=lambda sq: np.where(sq > top, 1.5, 0.5))
+    with pytest.raises(ValueError, match="left"):
+        adjacency_stream(X, K, block=block)
+
+
 @pytest.mark.parametrize("block", [0, -1])
 def test_stream_rejects_block_below_one(block):
     X = sample_data_matrix(5, 6, seed=1)

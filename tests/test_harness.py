@@ -49,7 +49,7 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "exp.cfg"
     cfg.to_file(path)
     assert ExperimentConfig.from_file(path) == cfg
-    for bad in ("runs/#3", "runs/a\nb"):
+    for bad in ("runs/#3", "runs/a\nb", "runs/a ", " runs/a", "runs/a\t"):
         with pytest.raises(ValueError, match="cannot hold"):
             ExperimentConfig(output_dir=bad).to_file(tmp_path / "bad.cfg")
 
