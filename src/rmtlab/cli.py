@@ -89,42 +89,41 @@ def _cmd_simulate(args):
     report = harness.run_experiment(config, threads=args.threads,
                                     check=args.check)
     _print_report(report)
-    if args.check and report.get("check", {}).get("breach"):
-        return 4
-    return 0
+    return _gate(report)
 
 
 def _cmd_figure1(args):
     betas = tuple(math.inf if tok.strip() == "inf" else float(tok)
                   for tok in args.betas.split(","))
-    reports = harness.figure1(p=args.p, n=args.n, sigma=args.sigma,
-                              betas=betas, seed=args.seed, trials=args.trials,
-                              out_dir=args.out or "fig1_out",
-                              threads=args.threads)
-    return _check_reports(reports, args.check)
+    return _print_sweep(harness.figure1(
+        p=args.p, n=args.n, sigma=args.sigma, betas=betas, seed=args.seed,
+        trials=args.trials, out_dir=args.out or "fig1_out", threads=args.threads,
+        check=args.check))
 
 
 def _cmd_figure2(args):
     taus = tuple(float(tok) for tok in args.taus.split(","))
-    reports = harness.figure2(p=args.p, n=args.n, sigma=args.sigma, taus=taus,
-                              seed=args.seed, trials=args.trials,
-                              out_dir=args.out or "fig2_out",
-                              threads=args.threads)
-    return _check_reports(reports, args.check)
+    return _print_sweep(harness.figure2(
+        p=args.p, n=args.n, sigma=args.sigma, taus=taus, seed=args.seed,
+        trials=args.trials, out_dir=args.out or "fig2_out", threads=args.threads,
+        check=args.check))
 
 
-def _check_reports(reports, check):
+def _print_sweep(reports):
     for tag, rep in reports.items():
         ks = rep["pooled_ks"]
         print(f"{tag}: pooled KS = {ks:.4f}" if ks is not None
               else f"{tag}: no prediction")
+    return max(_gate(rep, f"{tag}: ") for tag, rep in reports.items())
+
+
+def _gate(report, prefix=""):
+    """Print the KS that a report's --check verdict gated on; 4 on breach."""
+    check = report.get("check")
     if check:
-        for rep in reports.values():
-            kind = rep["law_params"].get("kind")
-            threshold = harness.CHECK_THRESHOLDS.get(kind)
-            if threshold is not None and rep["pooled_ks"] > threshold:
-                return 4
-    return 0
+        print(f"{prefix}--check gates on {check['ks']} = "
+              f"{report[check['ks']]:.4f} (threshold {check['threshold']})")
+    return 4 if check and check["breach"] else 0
 
 
 def _cmd_semicircle(args):
@@ -132,21 +131,17 @@ def _cmd_semicircle(args):
         p=args.p, n=args.n, kernel_variant=args.kernel,
         kernel_z_alpha=args.z_alpha, kernel_tau=args.tau, sigma=args.sigma,
         trials=args.trials, seed=args.seed, out_dir=args.out,
-        threads=args.threads)
+        threads=args.threads, check=args.check)
     _print_report(report)
-    # desk-scale runs carry a known finite-size mean offset, so the check is
-    # against the shift-corrected KS
-    name = "pooled_ks_shifted" if "pooled_ks_shifted" in report else "pooled_ks"
-    ks, threshold = report[name], harness.CHECK_THRESHOLDS["sc"]
-    print(f"--check gates on {name} = {ks:.4f} (threshold {threshold})")
-    if args.check and ks > threshold:
-        return 4
-    return 0
+    return _gate(report)
 
 
 def _cmd_diagnostics(args):
     sizes = [tuple(int(x) for x in pair.split(":"))
              for pair in args.sizes.split(",")]
+    if any(len(size) != 2 for size in sizes):
+        raise ValueError(f"--sizes takes comma-separated p:n pairs, "
+                         f"got {args.sizes!r}")
     result = harness.diagnostics_reductions(
         p_list=[s[0] for s in sizes], n_list=[s[1] for s in sizes],
         kernel_z_alpha=args.z_alpha, sigma=args.sigma,
@@ -159,33 +154,27 @@ def _cmd_diagnostics(args):
 
 
 def _cmd_law(args):
+    if args.type == "sc":
+        law = laws.SCLaw(variance=args.variance)
+        r = 1.1 * law.radius
+        x = laws.law_grid(-r if args.x_lo is None else args.x_lo,
+                          r if args.x_hi is None else args.x_hi, args.points)
+    else:
+        # genmp takes the harness's default grid, that of MP(c, sigma^2)
+        scale = args.scale if args.type == "mp" else args.sigma**2
+        x = laws.law_grid(args.x_lo, args.x_hi, args.points, args.c, scale)
+        law = laws.MPLaw(c=args.c, scale=scale) if args.type == "mp" else \
+            laws.GenMPLaw(args.c, args.sigma, laws.zeta_indicator(args.z_alpha), x)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.type == "mp":
-        law = laws.MPLaw(c=args.c, scale=args.scale)
-        lo, hi = 0.0, 1.15 * law.support[1]
-    elif args.type == "sc":
-        law = laws.SCLaw(variance=args.variance)
-        lo, hi = -1.1 * law.radius, 1.1 * law.radius
-    else:
-        # the harness's default genMP grid: up to 1.15 x the MP(c, sigma^2) edge
-        lo, hi = 0.0, 1.15 * laws.MPLaw(c=args.c, scale=args.sigma**2).support[1]
-    x = np.linspace(args.x_lo if args.x_lo is not None else lo,
-                    args.x_hi if args.x_hi is not None else hi, args.points)
-    if args.type == "genmp":
-        law = laws.GenMPLaw(args.c, args.sigma, laws.zeta_indicator(args.z_alpha),
-                            x, 1e-3)
     harness.write_law_csv(out, law, x)
     print(f"wrote {out}")
     return 0
 
 
 def _print_report(report):
-    shown = {k: v for k, v in report.items()
-             if k in ("pooled_ks", "pooled_ks_shifted", "predicted_mean_shift",
-                      "sc_transform_residual", "per_trial_ks", "law_params",
-                      "solver", "runtime_seconds", "pooled_mean_eigenvalue",
-                      "check")}
+    shown = {k: v for k, v in report.items() if k not in
+             ("config", "w2_pairs", "pooled_spectrum", "law", "artifacts")}
     print(json.dumps(shown, indent=2, sort_keys=True,
                      default=harness._json_default))
 

@@ -37,7 +37,6 @@ class ExperimentConfig:
     stieltjes_x_lo: float | None = None
     stieltjes_x_hi: float | None = None
     stieltjes_points: int = 400
-    stieltjes_v_schedule: tuple = (1e-1, 1e-2, 1e-3)
     output_dir: str = "rmt_out"
 
     def validate(self):
@@ -49,6 +48,10 @@ class ExperimentConfig:
             raise ValueError("p and n must be >= 2")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if self.histogram_bins < 1:
+            raise ValueError("histogram.bins must be >= 1")
+        laws.law_grid(self.stieltjes_x_lo, self.stieltjes_x_hi,
+                      self.stieltjes_points, self.p / self.n, self.sigma**2)
         if self.regime == "semi_high_dim" and self.p**2 <= self.n:
             raise ValueError(
                 f"semi_high_dim regime requires p^2 > n (got p={self.p}, n={self.n})")
@@ -99,7 +102,6 @@ class ExperimentConfig:
         "trials": "trials", "master_seed": "master_seed",
         "histogram.bins": "histogram_bins", "stieltjes.x_lo": "stieltjes_x_lo",
         "stieltjes.x_hi": "stieltjes_x_hi", "stieltjes.points": "stieltjes_points",
-        "stieltjes.v_schedule": "stieltjes_v_schedule",
         "output_dir": "output_dir",
     }
 
@@ -124,8 +126,6 @@ class ExperimentConfig:
         for field_name, value in asdict(self).items():
             if value is None:
                 continue
-            if field_name == "stieltjes_v_schedule":
-                value = ",".join(repr(float(v)) for v in value)
             text = str(value)
             # from_file would cut the value at '#' or at a line break and
             # strip its leading and trailing blanks
@@ -143,8 +143,6 @@ def _parse_value(field_name, text):
     if field_name in ("p", "n", "trials", "master_seed", "histogram_bins",
                       "stieltjes_points"):
         return int(text)
-    if field_name == "stieltjes_v_schedule":
-        return tuple(float(tok) for tok in text.split(","))
     if text == "inf":
         return math.inf
     return float(text)
@@ -205,16 +203,13 @@ def select_prediction(config: ExperimentConfig, kernel=None):
         law = laws.MPLaw(c=c, scale=alpha * sigma**2)
         return law, {"kind": "mp", "c": c, "scale": law.scale, "alpha": alpha,
                      "tau": config.kernel_tau}
-    # indicator: generalized MP on [0, 1.15 x the MP(c, sigma^2) edge] unless
-    # the config sets the grid; inverted at the smallest v of the schedule
+    # indicator: generalized MP on the default grid of MP(c, sigma^2) unless
+    # the config sets the grid
     z_alpha = config.indicator_z_alpha()
     zeta = laws.zeta_indicator(z_alpha, n_atoms=64)
-    x_lo = config.stieltjes_x_lo if config.stieltjes_x_lo is not None else 0.0
-    x_hi = config.stieltjes_x_hi if config.stieltjes_x_hi is not None \
-        else 1.15 * laws.MPLaw(c=c, scale=sigma**2).support[1]
-    law = laws.GenMPLaw(c, sigma, zeta,
-                        np.linspace(x_lo, x_hi, config.stieltjes_points),
-                        min(config.stieltjes_v_schedule))
+    law = laws.GenMPLaw(c, sigma, zeta, laws.law_grid(
+        config.stieltjes_x_lo, config.stieltjes_x_hi, config.stieltjes_points,
+        c, sigma**2))
     return law, {"kind": "genmp", "c": c, "sigma_sq": sigma**2, "z_alpha": z_alpha,
                  "zeta_mean": zeta.mean(), "atom_at_zero": law.atom_at_zero,
                  "mass_correction": law.mass_correction}
@@ -242,6 +237,10 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
                    write_artifacts=True, kernel=None):
     """Run the configured seeded trials, compare the pooled ESD with the
     predicted law, and (optionally) write histogram/law CSVs and report JSON.
+
+    A semi_high_dim report adds the predicted finite-size mean shift, the KS
+    against the shifted semicircle and the law's transform residual; with
+    check=True a report holds the verdict of check_verdict.
 
     `kernel` overrides the config-derived KernelSpec (custom kernels); any
     other kernel must equal config.kernel(). The returned report also holds
@@ -272,26 +271,36 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
     w2_pairs = [spectra.wasserstein2(trial_specs[i], trial_specs[i + 1])
                 for i in range(len(trial_specs) - 1)]
 
-    runtime = time.perf_counter() - t0
     solver = {"max_residual": law.solution.max_residual,
               "iterations": law.solution.iterations,
               "fallback_points": law.solution.fallback_points} \
         if isinstance(law, laws.GenMPLaw) else None
     report = {
-        "config": _config_echo(config),
+        "config": asdict(config),
         "per_trial_ks": per_trial_ks,
         "pooled_ks": pooled_ks,
         "w2_pairs": w2_pairs,
         "law_params": law_params,
         "solver": solver,
-        "runtime_seconds": runtime,
         "pooled_mean_eigenvalue": float(np.mean(pooled.eigenvalues)),
     }
+    if config.regime == "semi_high_dim":
+        var = law.variance
+        zs = np.linspace(-2.5, 2.5, 101) * max(math.sqrt(var), 1.0) + 1e-2j
+        s = laws.sc_stieltjes(zs, var)
+        report["sc_transform_residual"] = float(np.max(np.abs(var * s**2 + zs * s + 1)))
+        # at desk sizes the spectrum carries a mean offset of order sqrt(n)/p,
+        # from the exact trace of M: score the law shifted by it as well
+        mean_eig = ensemble.expected_mean_eigenvalue(
+            K, config.sigma, p=config.p, n=config.n, entry_law=config.entry_law)
+        shift = math.sqrt(config.n / config.p) \
+            * (mean_eig - law_params["alpha_p"] * config.sigma**2)
+        report["predicted_mean_shift"] = shift
+        report["pooled_ks_shifted"] = spectra.ks_distance(
+            pooled, lambda x: law.cdf(np.asarray(x, dtype=float) - shift))
+    report["runtime_seconds"] = time.perf_counter() - t0
     if check and pooled_ks is not None:
-        threshold = CHECK_THRESHOLDS.get(law_params["kind"])
-        report["check"] = {"threshold": threshold,
-                           "breach": bool(threshold is not None
-                                          and pooled_ks > threshold)}
+        report["check"] = check_verdict(report)
     if write_artifacts:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -310,6 +319,15 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
     return report
 
 
+def check_verdict(report):
+    """The --check verdict of a scored report: pooled_ks_shifted when the
+    report has it, else pooled_ks, against its law kind's threshold."""
+    name = "pooled_ks_shifted" if "pooled_ks_shifted" in report else "pooled_ks"
+    threshold = CHECK_THRESHOLDS[report["law_params"]["kind"]]
+    return {"ks": name, "threshold": threshold,
+            "breach": bool(report[name] > threshold)}
+
+
 def _law_grid(law, pooled, points=400):
     if isinstance(law, laws.GenMPLaw):
         return law.grid
@@ -318,12 +336,6 @@ def _law_grid(law, pooled, points=400):
     if isinstance(law, laws.SCLaw):
         lo, hi = min(lo, -1.05 * law.radius), max(hi, 1.05 * law.radius)
     return np.linspace(lo, hi, points)
-
-
-def _config_echo(config):
-    echo = asdict(config)
-    echo["stieltjes_v_schedule"] = list(config.stieltjes_v_schedule)
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +382,28 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 def figure1(p=200, n=500, sigma=1.0, betas=(-0.1, 0.1, 0.3, math.inf),
-            seed=0, trials=1, out_dir="fig1_out", threads=1):
+            seed=0, trials=1, out_dir="fig1_out", threads=1, check=False):
     """Indicator-kernel spectra across radius parameters r(beta), with the
     plain MP overlay and, for finite beta, the generalized-MP overlay."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = {}
     for beta in betas:
-        tag = "inf" if math.isinf(beta) else f"{beta:g}"
-        if math.isinf(beta):
-            cfg = ExperimentConfig(p=p, n=n, sigma=sigma, trials=trials,
-                                   master_seed=seed, kernel_variant="constant",
-                                   output_dir=str(out / f"beta_{tag}"))
-        else:
-            cfg = ExperimentConfig(p=p, n=n, sigma=sigma, trials=trials,
-                                   master_seed=seed, kernel_variant="indicator",
-                                   kernel_beta=beta,
-                                   output_dir=str(out / f"beta_{tag}"))
-        rep = run_experiment(cfg, threads=threads)
+        constant = math.isinf(beta)
+        tag = "inf" if constant else f"{beta:g}"
+        cfg = ExperimentConfig(p=p, n=n, sigma=sigma, trials=trials,
+                               master_seed=seed,
+                               kernel_variant="constant" if constant else "indicator",
+                               kernel_beta=None if constant else beta,
+                               output_dir=str(out / f"beta_{tag}"))
+        reports[tag] = run_experiment(cfg, threads=threads, check=check)
         # plain MP(c, sigma^2) overlay next to every histogram
         _write_mp_overlay(out / f"beta_{tag}" / "law_mp.csv", p / n, sigma)
-        reports[tag] = rep
     return reports
 
 
 def figure2(p=200, n=500, sigma=1.0, taus=(0.4, 0.7, 1.0, 1.3), seed=0,
-            trials=1, out_dir="fig2_out", threads=1):
+            trials=1, out_dir="fig2_out", threads=1, check=False):
     """Gaussian-kernel spectra across bandwidths tau with two MP overlays:
     the predicted MP(c, alpha sigma^2) in each run's law.csv, and the plain
     MP(c, sigma^2) written beside it as law_mp_raw.csv."""
@@ -406,48 +414,31 @@ def figure2(p=200, n=500, sigma=1.0, taus=(0.4, 0.7, 1.0, 1.3), seed=0,
         cfg = ExperimentConfig(p=p, n=n, sigma=sigma, trials=trials,
                                master_seed=seed, kernel_variant="gaussian",
                                kernel_tau=tau, output_dir=str(out / f"tau_{tau:g}"))
-        rep = run_experiment(cfg, threads=threads)
+        reports[f"{tau:g}"] = run_experiment(cfg, threads=threads, check=check)
         _write_mp_overlay(out / f"tau_{tau:g}" / "law_mp_raw.csv", p / n, sigma)
-        reports[f"{tau:g}"] = rep
     return reports
 
 
 def _write_mp_overlay(path, c, sigma):
-    """MP(c, sigma^2) on [0, 1.15 x its right edge], 400 points."""
-    mp = laws.MPLaw(c=c, scale=sigma**2)
-    write_law_csv(path, mp, np.linspace(0.0, 1.15 * mp.support[1], 400))
+    """MP(c, sigma^2) on its default grid, 400 points."""
+    write_law_csv(path, laws.MPLaw(c=c, scale=sigma**2),
+                  laws.law_grid(None, None, 400, c, sigma**2))
 
 
 def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
                           kernel_z_alpha=0.0, kernel_tau=None, sigma=1.0,
-                          trials=3, seed=0, out_dir="sc_out", threads=1):
+                          trials=3, seed=0, out_dir="sc_out", threads=1,
+                          check=False):
     """Semi-high-dimensional run comparing the centered, rescaled spectrum with
-    the predicted semicircle law; includes the closed-form transform residual."""
+    the predicted semicircle law: run_experiment on the semi_high_dim config
+    of these arguments."""
     cfg = ExperimentConfig(regime="semi_high_dim", p=p, n=n, sigma=sigma,
                            trials=trials, master_seed=seed,
                            kernel_variant=kernel_variant,
                            kernel_z_alpha=kernel_z_alpha
                            if kernel_variant == "indicator" else None,
                            kernel_tau=kernel_tau, output_dir=out_dir)
-    rep = run_experiment(cfg, threads=threads)
-    law = rep["law"]
-    var = law.variance
-    zs = np.linspace(-2.5, 2.5, 101) * max(math.sqrt(var), 1.0) + 1e-2j
-    s = laws.sc_stieltjes(zs, var)
-    rep["sc_transform_residual"] = float(np.max(np.abs(var * s**2 + zs * s + 1)))
-
-    # Finite-size diagnostic: the spectrum carries a mean offset of order
-    # sqrt(n)/p coming from the exact trace of M; it vanishes only deep in the
-    # regime, so report the predicted shift and the KS against the shifted law.
-    alpha = rep["law_params"]["alpha_p"]
-    mean_eig = ensemble.expected_mean_eigenvalue(cfg.kernel(), sigma, p=p, n=n)
-    shift = math.sqrt(n / p) * (mean_eig - alpha * sigma**2)
-    rep["predicted_mean_shift"] = shift
-    rep["pooled_ks_shifted"] = spectra.ks_distance(
-        rep["pooled_spectrum"],
-        lambda x: law.cdf(np.asarray(x, dtype=float) - shift))
-    write_report_json(Path(cfg.output_dir) / "report.json", rep)
-    return rep
+    return run_experiment(cfg, threads=threads, check=check)
 
 
 def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
@@ -458,6 +449,8 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
     of M and the decoupled matrix, the scaled centered-degree maximum, and the
     Hilbert-Schmidt size of the adjacency part.
     """
+    if not (seeds := list(seeds)):
+        raise ValueError("diagnostics_reductions needs at least one seed")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

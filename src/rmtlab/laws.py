@@ -459,10 +459,21 @@ def generalized_mp_cdf(x_grid, density, atom_at_zero=0.0):
     return cdf
 
 
+def law_grid(x_lo, x_hi, points, c=None, scale=None):
+    """`points` equispaced points on [x_lo, x_hi]; an end left None takes its
+    default in [0, 1.15 x the right edge of MP(c, scale)]."""
+    lo = 0.0 if x_lo is None else x_lo
+    hi = 1.15 * MPLaw(c=c, scale=scale).support[1] if x_hi is None else x_hi
+    if points < 2 or not hi > lo:
+        raise ValueError(f"a law grid needs >= 2 points and x_hi > x_lo "
+                         f"(got {points} points on [{lo}, {hi}])")
+    return np.linspace(lo, hi, points)
+
+
 @dataclass(frozen=True, eq=False)
 class GenMPLaw:
     """Generalized MP law of the fixed point with weights zeta, tabulated on
-    the real grid by Stieltjes-Perron inversion at height v.
+    the real grid by Stieltjes-Perron inversion at height v (1e-3).
 
     The constructor solves the fixed point on grid + i v, takes the exact
     atom at 0, the rank deficit max(0, 1 - P(zeta > 0) / c) of
@@ -474,7 +485,7 @@ class GenMPLaw:
     sigma: float
     zeta: ZetaDistribution
     grid: np.ndarray
-    v: float
+    v: float = 1e-3
     solution: StieltjesSolution = field(init=False)
     grid_density: np.ndarray = field(init=False)
     atom_at_zero: float = field(init=False)

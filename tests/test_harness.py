@@ -28,6 +28,9 @@ def test_validate_rejects_bad_fields(tmp_path):
         _cfg(tmp_path, sigma=0.0).validate()
     with pytest.raises(ValueError):
         _cfg(tmp_path, regime="semi_high_dim", p=10, n=500).validate()
+    # caught before the trials run, not when the histogram is formed
+    with pytest.raises(ValueError, match="histogram.bins"):
+        _cfg(tmp_path, histogram_bins=0).validate()
 
 
 def test_indicator_kernel_needs_exactly_one_radius_parameter(tmp_path):
@@ -77,6 +80,26 @@ def test_config_file_rejects_unknown_key_and_bad_line(tmp_path):
     bad_line.write_text("just words\n")
     with pytest.raises(ValueError, match="key = value"):
         ExperimentConfig.from_file(bad_line)
+    # the inversion height is a constant, no longer a config key
+    old_key = tmp_path / "bad3.cfg"
+    old_key.write_text("stieltjes.v_schedule = 0.001\n")
+    with pytest.raises(ValueError, match="unknown config key"):
+        ExperimentConfig.from_file(old_key)
+    assert cli.main(["simulate", "--config", str(old_key)]) == 2
+
+
+# one grid point, a descending grid, and an x_lo above the default upper end
+# (1.15 x the MP edge, 3.07 at c = 0.4) used to fail only in the solver, exit 3
+@pytest.mark.parametrize("grid", [
+    "stieltjes.points = 1", "stieltjes.x_lo = 3\nstieltjes.x_hi = 0.5",
+    "stieltjes.x_lo = 4"])
+def test_config_with_bad_grid_is_invalid(tmp_path, grid):
+    path = tmp_path / "grid.cfg"
+    path.write_text("p = 60\nn = 150\ntrials = 1\nkernel.variant = indicator\n"
+                    f"kernel.z_alpha = 0.0\noutput_dir = {tmp_path / 'out'}\n"
+                    f"{grid}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +311,31 @@ def test_semicircle_experiment_constant_kernel(tmp_path):
     assert "predicted_mean_shift" in payload
 
 
+def test_semicircle_experiment_report_is_run_experiments(tmp_path):
+    out = tmp_path / "sc"
+    harness.semicircle_experiment(p=60, n=1000, kernel_variant="indicator",
+                                  kernel_z_alpha=0.0, trials=1, seed=2,
+                                  out_dir=str(out))
+    sc = json.loads((out / "report.json").read_text())
+    cfg = ExperimentConfig(regime="semi_high_dim", p=60, n=1000, trials=1,
+                           master_seed=2, kernel_variant="indicator",
+                           kernel_z_alpha=0.0, output_dir=str(out))
+    harness.run_experiment(cfg)
+    run = json.loads((out / "report.json").read_text())
+    sc.pop("runtime_seconds")
+    run.pop("runtime_seconds")
+    assert sc == run
+    assert {"predicted_mean_shift", "pooled_ks_shifted",
+            "sc_transform_residual"} <= set(run)
+
+
+def test_diagnostics_reductions_rejects_no_seeds(tmp_path):
+    with pytest.raises(ValueError, match="at least one seed"):
+        harness.diagnostics_reductions(p_list=(40,), n_list=(100,), seeds=[],
+                                       out_dir=str(tmp_path / "diag"))
+    assert not (tmp_path / "diag").exists()
+
+
 def test_diagnostics_reductions_small(tmp_path):
     result = harness.diagnostics_reductions(
         p_list=(40, 80), n_list=(100, 200), seeds=range(3),
@@ -336,6 +384,46 @@ def test_cli_check_breach_exit_code(tmp_path, monkeypatch):
     assert cli.main(["--check", "simulate", "--config", str(path)]) == 4
 
 
+def _semi_high_dim_gating_args(tmp_path):
+    # raw KS 0.2007 against the semicircle, 0.1064 after the predicted
+    # finite-size mean shift of -0.253
+    path = tmp_path / "shd.cfg"
+    path.write_text("regime = semi_high_dim\np = 100\nn = 2000\ntrials = 1\n"
+                    "master_seed = 0\nkernel.variant = indicator\n"
+                    f"kernel.z_alpha = 0.0\noutput_dir = {tmp_path / 'sim'}\n")
+    return (["--check", "simulate", "--config", str(path)],
+            ["--check", "semicircle", "--p", "100", "--n", "2000", "--trials",
+             "1", "--seed", "0", "--z-alpha", "0.0", "--out", str(tmp_path / "sc")])
+
+
+def test_cli_simulate_and_semicircle_gate_on_the_same_ks(tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setitem(harness.CHECK_THRESHOLDS, "sc", 0.15)
+    simulate, semicircle = _semi_high_dim_gating_args(tmp_path)
+    assert cli.main(simulate) == 0
+    sim_line = capsys.readouterr().out.splitlines()[-1]
+    assert cli.main(semicircle) == 0
+    sc_line = capsys.readouterr().out.splitlines()[-1]
+    assert sim_line == sc_line == ("--check gates on pooled_ks_shifted = "
+                                   "0.1064 (threshold 0.15)")
+    report = json.loads((tmp_path / "sim" / "report.json").read_text())
+    assert report["check"] == {"ks": "pooled_ks_shifted", "threshold": 0.15,
+                               "breach": False}
+    monkeypatch.setitem(harness.CHECK_THRESHOLDS, "sc", 0.1)
+    assert cli.main(simulate) == cli.main(semicircle) == 4
+
+
+def test_cli_figure_sweep_gates_each_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(harness.CHECK_THRESHOLDS, "mp", 1e-9)
+    assert cli.main(["--check", "figure2", "--p", "60", "--n", "150", "--taus",
+                     "0.7", "--out", str(tmp_path / "f2")]) == 4
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("0.7: --check gates on pooled_ks = ")
+    monkeypatch.setitem(harness.CHECK_THRESHOLDS, "mp", 1.0)
+    assert cli.main(["--check", "figure2", "--p", "60", "--n", "150", "--taus",
+                     "0.7", "--out", str(tmp_path / "f2")]) == 0
+
+
 def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise laws.SolverError("forced")
@@ -366,6 +454,24 @@ def test_cli_law_outputs(tmp_path):
                      "--points", "200", "--out", str(genmp_out)]) == 0
     glines = genmp_out.read_text().strip().splitlines()
     assert len(glines) == 201
+
+
+@pytest.mark.parametrize("law_type", ["mp", "sc", "genmp"])
+@pytest.mark.parametrize("grid", [["--x-lo", "3", "--x-hi", "0.5"],
+                                  ["--points", "1"]])
+def test_cli_law_rejects_bad_grid(tmp_path, law_type, grid):
+    out = tmp_path / "law.csv"
+    assert cli.main(["law", "--type", law_type, *grid, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--sizes", "100"],
+                                  ["--sizes", "40:100", "--seeds", "0"],
+                                  ["--sizes", "40:100", "--seeds", "-2"]])
+def test_cli_diagnostics_rejects_bad_input(tmp_path, args):
+    out = tmp_path / "diag"
+    assert cli.main(["diagnostics", *args, "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
 
 
 def test_cli_genmp_law_matches_run_experiment(tmp_path):
