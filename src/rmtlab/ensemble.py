@@ -6,8 +6,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import chi2, ncx2
+from scipy import special
 
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform_centered")
 
@@ -161,9 +160,16 @@ def indicator_radius_from_z_alpha(z_alpha, sigma, p):
 # ---------------------------------------------------------------------------
 
 # bytes of tile rows turned into kernel values at a time, small enough that
-# they stay in cache between the elementwise passes (on a 400 x 20000
-# indicator stream 128-512 KB time alike; 64 KB and 1 MB are slower)
+# they stay in cache between the elementwise passes (on the float64 path of a
+# 400 x 20000 stream 128-512 KB time alike, 64 KB and 1 MB are slower; the
+# indicator's float32 passes time alike from 128 KB to 1 MB)
 _CHUNK_BYTES = 256 * 1024
+
+# indicator pairs decided again in float64 per gather of their columns; the
+# two p x 1024 gathers are no larger than the float32 operands of a tile
+_REDECIDE_BATCH = 1024
+
+_U32 = 2.0**-24  # unit roundoff of float32
 
 
 def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
@@ -171,11 +177,16 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
     (zero diagonal) without materialising A.
 
     A is symmetric, so only its upper-triangular block x block tiles
-    (I, J), J >= I, are formed, each once: W A W^T = D + S + S^T with D the
-    diagonal tiles' W_I A_II W_I^T and S the off-diagonal tiles'
-    W_I A_IJ W_J^T. Every tile is formed in one reused buffer, its Gram
-    block turned into kernel values a cache-sized chunk of rows at a time.
-    Memory beyond X stays O(p^2 + block^2).
+    (I, J), J >= I, are formed, each once and in one reused buffer:
+    W A W^T = D + S + S^T with D the diagonal tiles' W_I A_II W_I^T and S
+    the off-diagonal tiles' W_I A_IJ W_J^T. A smooth kernel's tile is its
+    float64 Gram block turned into kernel values a cache-sized chunk of rows
+    at a time. An indicator tile is one float32 GEMM of the margins
+    |x_i - x_j|^2 - r^2, each pair decided by the sign of its margin except
+    the pairs within the GEMM's rounding bound of 0, which are decided again
+    in float64 (`_IndicatorTiles`). A is then the float64 Gram's, except
+    possibly at a pair whose float64 margin lies within float64 rounding of
+    0. Memory beyond X stays O(p^2 + p block + block^2).
     """
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
@@ -186,31 +197,126 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
     deg = np.zeros(n)
     D = np.zeros((p, p))
     S = np.zeros((p, p))
-    buf = np.empty(min(block, n) ** 2)
+    indicator = (_IndicatorTiles(W, sqn, K.radius**2, min(block, n))
+                 if K.variant == "indicator" else None)
+    buf = indicator.buf if indicator else np.empty(min(block, n) ** 2)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         for lo2 in range(lo, n, block):
             hi2 = min(lo2 + block, n)
             A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
-            np.matmul(W[:, lo:hi].T, W[:, lo2:hi2], out=A)
-            rows = max(1, _CHUNK_BYTES // A[0].nbytes)
-            for r in range(0, hi - lo, rows):
-                s = A[r:r + rows]
-                # -2 g is exact, so s rounds as (sqn_i + sqn_j) - 2 g and a
-                # pair on the indicator radius cannot flip
-                s *= -2.0
-                s += np.add.outer(sqn[lo + r:lo + r + len(s)], sqn[lo2:hi2])
-                np.maximum(s, 0.0, out=s)
-                s[...] = K.eval_sqdist(s)
+            if indicator:
+                indicator.fill(A, deg, lo, hi, lo2, hi2)
+            else:
+                np.matmul(W[:, lo:hi].T, W[:, lo2:hi2], out=A)
+                rows = max(1, _CHUNK_BYTES // A[0].nbytes)
+                for r in range(0, hi - lo, rows):
+                    s = A[r:r + rows]
+                    # -2 g is exact, so s rounds as (sqn_i + sqn_j) - 2 g
+                    s *= -2.0
+                    s += np.add.outer(sqn[lo + r:lo + r + len(s)], sqn[lo2:hi2])
+                    np.maximum(s, 0.0, out=s)
+                    s[...] = K.eval_sqdist(s)
+                if lo2 == lo:
+                    np.fill_diagonal(A, 0.0)
+                    deg[lo:hi] += A.sum(axis=0)
+                else:
+                    deg[lo:hi] += A.sum(axis=1)
+                    deg[lo2:hi2] += A.sum(axis=0)
             if lo2 == lo:
-                np.fill_diagonal(A, 0.0)
-                deg[lo:hi] += A.sum(axis=0)
                 D += (W[:, lo:hi] @ A) @ W[:, lo:hi].T
             else:
-                deg[lo:hi] += A.sum(axis=1)
-                deg[lo2:hi2] += A.sum(axis=0)
                 S += (W[:, lo:hi] @ A) @ W[:, lo2:hi2].T
     return deg, D + S + S.T
+
+
+class _IndicatorTiles:
+    """Indicator tiles A_ij = 1((-2 g_ij) + (sqn_i + sqn_j) <= r^2), the
+    float64 formula of the smooth kernels' tiles, decided by a float32 GEMM.
+
+    With a = sqn - r^2 / 2, the rows L_i = [-2 w_i, a_i, 1] and the columns
+    R_j = [w_j, 1, a_j] multiply to the margin m_ij = sqn_i + sqn_j - 2 g_ij
+    - r^2, so one GEMM with inner dimension p + 2 gives a tile's margins. W
+    and r are first scaled by the power of two that puts max(sqn, r^2) in
+    [1/4, 1), so float32 cannot overflow. By the inner-product bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1) and the float32 rounding of the operands, the computed
+    margins of tile (I, J) lie within
+        band = (gamma_{p+2} + 3 u)(1 + u)
+               (2 max_I |w_i| max_J |w_j| + max_I |a_i| + max_J |a_j|)
+    of the exact ones (u = 2^-24, p + 2 < 2^23), with a slack of about u
+    times the bracket that covers the float64 rounding of the formula; an
+    absolute term covers float32 underflow. A pair with |m| > band thus
+    gets the formula's value from the sign of m. Every other pair is decided
+    again by the formula, with g_ij from its own two columns.
+    """
+
+    def __init__(self, W, sqn, r2, block):
+        p = W.shape[0]
+        self.W, self.sqn, self.r2, self.lo = W, sqn, r2, None
+        self.scale = 2.0 ** -((int(np.frexp(max(sqn.max(), r2))[1]) + 1) // 2)
+        self.a = (sqn - r2 / 2) * self.scale**2  # the power of two is exact
+        self.norm = np.sqrt(sqn) * self.scale
+        self.coef = ((p + 2) * _U32 / (1 - (p + 2) * _U32) + 3 * _U32) * (1 + _U32)
+        self.tiny = (p + 2) * 2.0**-146  # subnormal casts and products
+        # the tile buffer, then the float32 operands L and R
+        self.buf = np.empty(block * block + block * (p + 2))
+        self.L, self.R = self.buf[block * block:].view(np.float32).reshape(2, -1)
+
+    def fill(self, A, deg, lo, hi, lo2, hi2):
+        """Decide tile (I, J) into A as float64 0/1 values, with a zero
+        diagonal on a diagonal tile, and add its degrees to deg."""
+        W, a = self.W, self.a
+        (h, w), p = A.shape, W.shape[0]
+        L = self.L[:h * (p + 2)].reshape(h, p + 2)
+        if lo != self.lo:
+            self.lo = lo
+            np.multiply(W[:, lo:hi].T, -2.0 * self.scale, out=L[:, :p],
+                        casting="same_kind")
+            L[:, p] = a[lo:hi]
+            L[:, p + 1] = 1.0
+        R = self.R[:(p + 2) * w].reshape(p + 2, w)
+        np.multiply(W[:, lo2:hi2], self.scale, out=R[:p], casting="same_kind")
+        R[p] = 1.0
+        R[p + 1] = a[lo2:hi2]
+        # the float32 margins fill the upper half of A's bytes, so writing a
+        # chunk's float64 rows overwrites only margins already read
+        m = A.reshape(-1).view(np.float32)[h * w:].reshape(h, w)
+        np.matmul(L, R, out=m)
+        band = self.coef * (2.0 * self.norm[lo:hi].max() * self.norm[lo2:hi2].max()
+                            + np.abs(a[lo:hi]).max() + np.abs(a[lo2:hi2]).max())
+        band = np.nextafter(np.float32(band + self.tiny), np.float32(np.inf))
+        rows = max(1, _CHUNK_BYTES // A[0].nbytes)
+        below, near = np.empty((2, min(rows, h), w), bool)
+        ones, col_deg = np.ones(max(rows, w)), np.zeros(w)
+        found = []
+        # 0/1 degree sums are exact in any order, so they are taken from
+        # the chunks in cache; a diagonal tile is symmetric and adds its row
+        # sums only
+        for r in range(0, h, rows):
+            c = min(rows, h - r)
+            np.less_equal(m[r:r + c], -band, out=below[:c])
+            np.less_equal(m[r:r + c], band, out=near[:c])
+            near[:c] ^= below[:c]
+            found.append(np.flatnonzero(near[:c]) + r * w)
+            A[r:r + c] = below[:c]
+            deg[lo + r:lo + r + c] += A[r:r + c] @ ones[:w]
+            if lo2 != lo:
+                col_deg += ones[:c] @ A[r:r + c]
+        deg[lo2:hi2] += col_deg
+        found = np.concatenate(found)
+        for s in range(0, len(found), _REDECIDE_BATCH):
+            t = found[s:s + _REDECIDE_BATCH]  # each pair is 0 in A so far
+            i, j = lo + t // w, lo2 + t % w
+            g = np.einsum("ij,ij->j", W.take(i, axis=1), W.take(j, axis=1))
+            edge = -2.0 * g + (self.sqn[i] + self.sqn[j]) <= self.r2
+            A.reshape(-1)[t] = edge
+            np.add.at(deg, i, edge)
+            if lo2 != lo:
+                np.add.at(deg, j, edge)
+        if lo2 == lo:
+            deg[lo:hi] -= A.diagonal()
+            np.fill_diagonal(A, 0.0)
 
 
 def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):
@@ -273,7 +379,7 @@ def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     if K.variant == "constant":
         val = 1.0
     elif K.variant == "indicator" and entry_law == "gaussian":
-        val = float(chi2.cdf(K.radius**2 / (2.0 * sigma**2), K.dimension))
+        val = float(special.chdtr(K.dimension, K.radius**2 / (2.0 * sigma**2)))
     elif K.variant == "gaussian" and entry_law == "gaussian":
         p = K.dimension
         val = 1.0 - (1.0 + 2.0 * sigma**2 / (p * K.tau**2)) ** (-p / 2.0)
@@ -316,10 +422,14 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     if K.variant == "constant":
         return 1.0
     if K.variant == "indicator" and entry_law == "gaussian":
+        # imported here, so that importing rmtlab loads neither
+        from scipy import integrate
+        from scipy.stats import chi2
+
         t = K.radius**2 / sigma**2
 
         def f(q):
-            return ncx2.cdf(t, p, q) ** 2 * chi2.pdf(q, p)
+            return special.chndtr(t, p, q) ** 2 * chi2.pdf(q, p)
 
         half_width = 10.0 * np.sqrt(2.0 * p)
         lo, hi = max(0.0, p - half_width), p + half_width
@@ -356,7 +466,7 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
         return float(pref * sigma**2)
     if K.variant == "indicator" and entry_law == "gaussian":
         t = K.radius**2 / (2.0 * sigma**2)
-        return float(pref * sigma**2 * chi2.cdf(t, p + 2))
+        return float(pref * sigma**2 * special.chdtr(p + 2, t))
     if K.variant == "gaussian" and entry_law == "gaussian":
         return float(pref * sigma**2
                      * (1.0 - (1.0 + 2.0 * sigma**2 / (p * K.tau**2))

@@ -55,6 +55,9 @@ class ExperimentConfig:
         if self.regime == "semi_high_dim" and self.p**2 <= self.n:
             raise ValueError(
                 f"semi_high_dim regime requires p^2 > n (got p={self.p}, n={self.n})")
+        if self.kernel_tau is not None and self.kernel_variant != "gaussian":
+            raise ValueError("kernel.tau applies only to the gaussian kernel, "
+                             f"not to {self.kernel_variant!r}")
         self.kernel()  # raises on inconsistent kernel parameters
         return self
 
@@ -437,7 +440,9 @@ def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
                            kernel_variant=kernel_variant,
                            kernel_z_alpha=kernel_z_alpha
                            if kernel_variant == "indicator" else None,
-                           kernel_tau=kernel_tau, output_dir=out_dir)
+                           kernel_tau=kernel_tau
+                           if kernel_variant == "gaussian" else None,
+                           output_dir=out_dir)
     return run_experiment(cfg, threads=threads, check=check)
 
 

@@ -5,7 +5,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy import special
 
 from .ensemble import draw_entries, rng_from_seed
 
@@ -204,7 +204,7 @@ def zeta_indicator(z_alpha, n_atoms=64) -> ZetaDistribution:
     if n_atoms < 16:
         raise ValueError("n_atoms must be >= 16")
     nodes, weights = gauss_hermite_prob(n_atoms)
-    values = norm.cdf((nodes + 2.0 * z_alpha) / np.sqrt(3.0))
+    values = special.ndtr((nodes + 2.0 * z_alpha) / np.sqrt(3.0))
     return ZetaDistribution(values=values, weights=weights)
 
 

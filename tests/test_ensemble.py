@@ -237,18 +237,65 @@ def test_stream_rejects_block_below_one(block):
         truncated_covariance(X, K, block=block)
 
 
+def _integer_data_on_the_radius(p=36, bases=500, c=1000, seed=3):
+    # integer entries in [-2^11, 2^11]: float32 sums of their products round,
+    # float64 and int64 ones are exact. Each base column has a partner at
+    # base + c sigma with sigma a sign vector, exactly at distance
+    # r = sqrt(p) c = 6000 (p = 36), so many pairs lie on the radius
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-1024, 1025, size=(p, bases))
+    partner = base + c * rng.choice([-1, 1], size=(p, bases))
+    W = np.concatenate([base, partner], axis=1)[:, rng.permutation(2 * bases)]
+    return W, np.sqrt(p) * c
+
+
+def _exact_indicator_stream(W, radius):
+    sqn = (W * W).sum(axis=0)
+    sq = sqn[:, None] + sqn[None, :] - 2 * (W.T @ W)
+    A = (sq <= radius**2).astype(np.int64)
+    np.fill_diagonal(A, 0)
+    return sq, A.sum(axis=1), W @ A @ W.T
+
+
+@pytest.mark.parametrize("block", [2048, 700, 64])
+def test_indicator_stream_is_exact_on_integer_data(block):
+    # the float32 margins of pairs on or near the radius round, so only a
+    # rigorous band with the float64 re-decision gives the exact graph
+    W, radius = _integer_data_on_the_radius()
+    sq, deg, xaxt = _exact_indicator_stream(W, radius)
+    assert (sq == radius**2).sum() >= 1000  # the 500 partner pairs, both ways
+    p, n = W.shape
+    X = R.DataMatrix(W.astype(float), p, n, "integer", 1.0, 0)
+    K = KernelSpec(variant="indicator", dimension=p, radius=radius)
+    got_deg, got_xaxt = adjacency_stream(X, K, block=block)
+    assert np.array_equal(got_deg, deg)
+    assert np.array_equal(got_xaxt, xaxt)
+
+
+@pytest.mark.parametrize("k", [-60, 0, 60])
+def test_indicator_degrees_do_not_move_under_power_of_two_scaling(k):
+    W, radius = _integer_data_on_the_radius()
+    _, deg, _ = _exact_indicator_stream(W, radius)
+    p, n = W.shape
+    X = R.DataMatrix(np.ldexp(W.astype(float), k), p, n, "integer", 1.0, 0)
+    K = KernelSpec(variant="indicator", dimension=p, radius=np.ldexp(radius, k))
+    assert np.array_equal(adjacency_stream(X, K, block=700)[0], deg)
+
+
 def test_stream_memory_stays_below_one_column_block():
     # the tiles are block x block: the traced peak must stay below a single
-    # n x block array, which any route over column blocks of A would need
+    # n x block array, which any route over column blocks of A would need;
+    # the indicator's float32 operands and gathers stay inside that budget
     X = sample_data_matrix(20, 4000, seed=1)
-    K = KernelSpec(variant="gaussian", dimension=20, tau=1.0)
-    tracemalloc.start()
-    try:
-        truncated_covariance(X, K, block=256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4000 * 256 * 8
+    for K in (KernelSpec(variant="gaussian", dimension=20, tau=1.0),
+              KernelSpec(variant="indicator", dimension=20, radius=6.0)):
+        tracemalloc.start()
+        try:
+            truncated_covariance(X, K, block=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 256 * 8, K.variant
 
 
 def test_m_is_positive_semidefinite():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,13 @@ def test_validate_rejects_bad_fields(tmp_path):
     # caught before the trials run, not when the histogram is formed
     with pytest.raises(ValueError, match="histogram.bins"):
         _cfg(tmp_path, histogram_bins=0).validate()
+
+
+@pytest.mark.parametrize("variant,extra", [("indicator", {"kernel_z_alpha": 0.0}),
+                                           ("constant", {})])
+def test_validate_rejects_tau_on_a_non_gaussian_kernel(tmp_path, variant, extra):
+    with pytest.raises(ValueError, match="kernel.tau"):
+        _cfg(tmp_path, kernel_variant=variant, kernel_tau=1.0, **extra).validate()
 
 
 def test_indicator_kernel_needs_exactly_one_radius_parameter(tmp_path):
@@ -517,6 +528,33 @@ def test_cli_semicircle_names_gating_ks(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     assert line == (f"--check gates on pooled_ks_shifted = "
                     f"{report['pooled_ks_shifted']:.4f} (threshold 0.08)")
+
+
+def test_cli_semicircle_echoes_the_config_of_simulate(tmp_path):
+    # rmt semicircle passes its --tau default only to a gaussian kernel
+    path = tmp_path / "shd.cfg"
+    path.write_text("regime = semi_high_dim\np = 40\nn = 400\ntrials = 1\n"
+                    "master_seed = 0\nkernel.variant = indicator\n"
+                    f"kernel.z_alpha = 0.0\noutput_dir = {tmp_path / 'sim'}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    assert cli.main(["semicircle", "--p", "40", "--n", "400", "--trials", "1",
+                     "--out", str(tmp_path / "sc")]) == 0
+    configs = [json.loads((tmp_path / run / "report.json").read_text())["config"]
+               for run in ("sim", "sc")]
+    for config in configs:
+        config.pop("output_dir")
+    assert configs[0] == configs[1]
+    assert configs[0]["kernel_tau"] is None
+
+
+def test_importing_the_cli_loads_neither_scipy_stats_nor_integrate():
+    # together they are most of the start-up time of every rmt command
+    code = ("import sys, rmtlab.cli; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.stats', 'scipy.integrate')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_parser_requires_command():
