@@ -116,22 +116,6 @@ class KernelSpec:
             raise ValueError("custom kernel profile left [0, 1]")
         return np.clip(vals, 0.0, 1.0)
 
-    def gram(self, X, Y=None):
-        """Kernel matrix K(X_i, Y_j) for columns of X (and Y, default X)."""
-        return self.eval_sqdist(pairwise_sqdist(X, Y))
-
-
-def pairwise_sqdist(X, Y=None):
-    """Squared Euclidean distances between columns of X and Y (p x *)."""
-    if Y is None:
-        Y = X
-    g = X.T @ Y
-    nx = np.einsum("ij,ij->j", X, X)
-    ny = np.einsum("ij,ij->j", Y, Y)
-    sq = nx[:, None] + ny[None, :] - 2.0 * g
-    np.maximum(sq, 0.0, out=sq)
-    return sq
-
 
 def indicator_radius_from_beta(beta, sigma, p):
     """Figure-style radius r(beta) = sqrt((2 + beta) sigma^2 p)."""
@@ -197,7 +181,7 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
     deg = np.zeros(n)
     D = np.zeros((p, p))
     S = np.zeros((p, p))
-    indicator = (_IndicatorTiles(W, sqn, K.radius**2, min(block, n))
+    indicator = (_IndicatorTiles(W, W, sqn, sqn, K.radius**2, block)
                  if K.variant == "indicator" else None)
     buf = indicator.buf if indicator else np.empty(min(block, n) ** 2)
     for lo in range(0, n, block):
@@ -208,15 +192,7 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
             if indicator:
                 indicator.fill(A, deg, lo, hi, lo2, hi2)
             else:
-                np.matmul(W[:, lo:hi].T, W[:, lo2:hi2], out=A)
-                rows = max(1, _CHUNK_BYTES // A[0].nbytes)
-                for r in range(0, hi - lo, rows):
-                    s = A[r:r + rows]
-                    # -2 g is exact, so s rounds as (sqn_i + sqn_j) - 2 g
-                    s *= -2.0
-                    s += np.add.outer(sqn[lo + r:lo + r + len(s)], sqn[lo2:hi2])
-                    np.maximum(s, 0.0, out=s)
-                    s[...] = K.eval_sqdist(s)
+                _kernel_tile(K, A, W[:, lo:hi], W[:, lo2:hi2], sqn[lo:hi], sqn[lo2:hi2])
                 if lo2 == lo:
                     np.fill_diagonal(A, 0.0)
                     deg[lo:hi] += A.sum(axis=0)
@@ -230,20 +206,36 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
     return deg, D + S + S.T
 
 
-class _IndicatorTiles:
-    """Indicator tiles A_ij = 1((-2 g_ij) + (sqn_i + sqn_j) <= r^2), the
-    float64 formula of the smooth kernels' tiles, decided by a float32 GEMM.
+def _kernel_tile(K, A, Wi, Vj, sqn_i, sqn_j):
+    """Kernel values K(w_i, v_j) into A: the float64 Gram block Wi^T Vj,
+    turned into kernel values a cache-sized chunk of rows at a time."""
+    np.matmul(Wi.T, Vj, out=A)
+    rows = max(1, _CHUNK_BYTES // A[0].nbytes)
+    for r in range(0, len(A), rows):
+        s = A[r:r + rows]
+        # -2 g is exact, so s rounds as (sqn_i + sqn_j) - 2 g
+        s *= -2.0
+        s += np.add.outer(sqn_i[r:r + len(s)], sqn_j)
+        np.maximum(s, 0.0, out=s)
+        s[...] = K.eval_sqdist(s)
 
-    With a = sqn - r^2 / 2, the rows L_i = [-2 w_i, a_i, 1] and the columns
-    R_j = [w_j, 1, a_j] multiply to the margin m_ij = sqn_i + sqn_j - 2 g_ij
-    - r^2, so one GEMM with inner dimension p + 2 gives a tile's margins. W
-    and r are first scaled by the power of two that puts max(sqn, r^2) in
-    [1/4, 1), so float32 cannot overflow. By the inner-product bound
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 3.1) and the float32 rounding of the operands, the computed
-    margins of tile (I, J) lie within
+
+class _IndicatorTiles:
+    """Indicator tiles A_ij = 1((-2 g_ij) + (sqn_i + sqn_j) <= r^2) of the
+    columns w_i of W against the columns v_j of V (V is W on the symmetric
+    stream), the float64 formula of the smooth kernels' tiles, decided by a
+    float32 GEMM.
+
+    With a = sqn - r^2 / 2 on each side, the rows L_i = [-2 w_i, a_i, 1] and
+    the columns R_j = [v_j, 1, a_j] multiply to the margin m_ij = sqn_i +
+    sqn_j - 2 g_ij - r^2, so one GEMM with inner dimension p + 2 gives a
+    tile's margins. W, V and r are first scaled by the power of two that puts
+    max(sqn, r^2) over both sides in [1/4, 1), so float32 cannot overflow. By
+    the inner-product bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1) and the float32 rounding of the
+    operands, the computed margins of tile (I, J) lie within
         band = (gamma_{p+2} + 3 u)(1 + u)
-               (2 max_I |w_i| max_J |w_j| + max_I |a_i| + max_J |a_j|)
+               (2 max_I |w_i| max_J |v_j| + max_I |a_i| + max_J |a_j|)
     of the exact ones (u = 2^-24, p + 2 < 2^23), with a slack of about u
     times the bracket that covers the float64 rounding of the formula; an
     absolute term covers float32 underflow. A pair with |m| > band thus
@@ -251,23 +243,27 @@ class _IndicatorTiles:
     again by the formula, with g_ij from its own two columns.
     """
 
-    def __init__(self, W, sqn, r2, block):
+    def __init__(self, W, V, sqn, sqv, r2, block):
         p = W.shape[0]
-        self.W, self.sqn, self.r2, self.lo = W, sqn, r2, None
-        self.scale = 2.0 ** -((int(np.frexp(max(sqn.max(), r2))[1]) + 1) // 2)
-        self.a = (sqn - r2 / 2) * self.scale**2  # the power of two is exact
-        self.norm = np.sqrt(sqn) * self.scale
+        self.W, self.V, self.sqn, self.sqv, self.r2, self.lo = W, V, sqn, sqv, r2, None
+        self.scale = 2.0 ** -((int(np.frexp(max(sqn.max(), sqv.max(), r2))[1]) + 1) // 2)
+        self.a, self.b = ((s - r2 / 2) * self.scale**2 for s in (sqn, sqv))  # exact: 2^k
+        self.norm, self.normv = (np.sqrt(s) * self.scale for s in (sqn, sqv))
         self.coef = ((p + 2) * _U32 / (1 - (p + 2) * _U32) + 3 * _U32) * (1 + _U32)
         self.tiny = (p + 2) * 2.0**-146  # subnormal casts and products
         # the tile buffer, then the float32 operands L and R
-        self.buf = np.empty(block * block + block * (p + 2))
-        self.L, self.R = self.buf[block * block:].view(np.float32).reshape(2, -1)
+        h, w = min(block, W.shape[1]), min(block, V.shape[1])
+        self.buf = np.empty(h * w + ((h + w) * (p + 2) + 1) // 2)
+        ops = self.buf[h * w:].view(np.float32)
+        self.L, self.R = ops[:h * (p + 2)], ops[h * (p + 2):]
 
     def fill(self, A, deg, lo, hi, lo2, hi2):
-        """Decide tile (I, J) into A as float64 0/1 values, with a zero
-        diagonal on a diagonal tile, and add its degrees to deg."""
-        W, a = self.W, self.a
+        """Decide tile (I, J) into A as float64 0/1 values and add its row
+        sums to deg[I]; on the symmetric stream add its column sums to
+        deg[J] too, or zero the diagonal of a diagonal tile."""
+        W, V, a, b = self.W, self.V, self.a, self.b
         (h, w), p = A.shape, W.shape[0]
+        cols = V is W and lo2 != lo  # column degrees on the symmetric stream
         L = self.L[:h * (p + 2)].reshape(h, p + 2)
         if lo != self.lo:
             self.lo = lo
@@ -276,19 +272,19 @@ class _IndicatorTiles:
             L[:, p] = a[lo:hi]
             L[:, p + 1] = 1.0
         R = self.R[:(p + 2) * w].reshape(p + 2, w)
-        np.multiply(W[:, lo2:hi2], self.scale, out=R[:p], casting="same_kind")
+        np.multiply(V[:, lo2:hi2], self.scale, out=R[:p], casting="same_kind")
         R[p] = 1.0
-        R[p + 1] = a[lo2:hi2]
+        R[p + 1] = b[lo2:hi2]
         # the float32 margins fill the upper half of A's bytes, so writing a
         # chunk's float64 rows overwrites only margins already read
         m = A.reshape(-1).view(np.float32)[h * w:].reshape(h, w)
         np.matmul(L, R, out=m)
-        band = self.coef * (2.0 * self.norm[lo:hi].max() * self.norm[lo2:hi2].max()
-                            + np.abs(a[lo:hi]).max() + np.abs(a[lo2:hi2]).max())
+        band = self.coef * (2.0 * self.norm[lo:hi].max() * self.normv[lo2:hi2].max()
+                            + np.abs(a[lo:hi]).max() + np.abs(b[lo2:hi2]).max())
         band = np.nextafter(np.float32(band + self.tiny), np.float32(np.inf))
         rows = max(1, _CHUNK_BYTES // A[0].nbytes)
         below, near = np.empty((2, min(rows, h), w), bool)
-        ones, col_deg = np.ones(max(rows, w)), np.zeros(w)
+        ones = np.ones(max(rows, w))
         found = []
         # 0/1 degree sums are exact in any order, so they are taken from
         # the chunks in cache; a diagonal tile is symmetric and adds its row
@@ -301,20 +297,19 @@ class _IndicatorTiles:
             found.append(np.flatnonzero(near[:c]) + r * w)
             A[r:r + c] = below[:c]
             deg[lo + r:lo + r + c] += A[r:r + c] @ ones[:w]
-            if lo2 != lo:
-                col_deg += ones[:c] @ A[r:r + c]
-        deg[lo2:hi2] += col_deg
+            if cols:
+                deg[lo2:hi2] += ones[:c] @ A[r:r + c]
         found = np.concatenate(found)
         for s in range(0, len(found), _REDECIDE_BATCH):
             t = found[s:s + _REDECIDE_BATCH]  # each pair is 0 in A so far
             i, j = lo + t // w, lo2 + t % w
-            g = np.einsum("ij,ij->j", W.take(i, axis=1), W.take(j, axis=1))
-            edge = -2.0 * g + (self.sqn[i] + self.sqn[j]) <= self.r2
+            g = np.einsum("ij,ij->j", W.take(i, axis=1), V.take(j, axis=1))
+            edge = -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
             A.reshape(-1)[t] = edge
             np.add.at(deg, i, edge)
-            if lo2 != lo:
+            if cols:
                 np.add.at(deg, j, edge)
-        if lo2 == lo:
+        if V is W and lo2 == lo:
             deg[lo:hi] -= A.diagonal()
             np.fill_diagonal(A, 0.0)
 
@@ -498,12 +493,43 @@ def normalized_matrix_E(X: DataMatrix, K: KernelSpec, alpha, sigma, block=2048):
 
 
 def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
-    """xi_i = E[K(X_i, V) | X_i] estimated with fresh draws of V."""
+    """xi_i = E[K(X_i, V) | X_i] estimated by the row means (1/m) sum_j
+    K(X_i, v_j) over m = mc_conditional fresh draws v_j of V.
+
+    The X-vs-V kernel matrix is walked in block x block tiles decided as in
+    `adjacency_stream` (an indicator tile by the float32 margin GEMM, with
+    the pairs in its rounding band decided again in float64), so no n x m
+    array is formed: memory beyond X and V is O(p (n + m) + block^2).
+    """
+    if K.dimension != X.p:
+        raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     if mc_conditional < 100:
         raise ValueError("mc_conditional must be >= 100")
     rng = rng_from_seed(seed, stream=(0xD1A6,))
     V = draw_entries(rng, X.entry_law, X.sigma, (X.p, mc_conditional))
-    return K.gram(X.entries, V).mean(axis=1)
+    return _kernel_row_means(X.entries, V, K)
+
+
+def _kernel_row_means(W, V, K, block=2048):
+    """(1/m) sum_j K(w_i, v_j) for the columns w_i of W and v_j of V, from
+    block x block tiles; a row within one tile is summed whole, as by mean."""
+    n, m = W.shape[1], V.shape[1]
+    sqn, sqv = (np.einsum("ij,ij->j", U, U) for U in (W, V))
+    indicator = (_IndicatorTiles(W, V, sqn, sqv, K.radius**2, block)
+                 if K.variant == "indicator" else None)
+    buf = indicator.buf if indicator else np.empty(min(block, n) * min(block, m))
+    total = np.zeros(n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        for lo2 in range(0, m, block):
+            hi2 = min(lo2 + block, m)
+            A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
+            if indicator:
+                indicator.fill(A, total, lo, hi, lo2, hi2)
+            else:
+                _kernel_tile(K, A, W[:, lo:hi], V[:, lo2:hi2], sqn[lo:hi], sqv[lo2:hi2])
+                total[lo:hi] += A.sum(axis=1)
+    return total / m
 
 
 def xi_bar_matrix(X: DataMatrix, xi):

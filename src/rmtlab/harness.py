@@ -456,6 +456,10 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
     """
     if not (seeds := list(seeds)):
         raise ValueError("diagnostics_reductions needs at least one seed")
+    p_list, n_list = list(p_list), list(n_list)
+    if not p_list or len(p_list) != len(n_list):
+        raise ValueError("diagnostics_reductions needs equally many p and n values, "
+                         f"at least one, got p_list={p_list}, n_list={n_list}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -3,6 +3,23 @@
 import numpy as np
 
 
+def pairwise_sqdist(X, Y=None):
+    """Squared Euclidean distances between the columns of X and Y (default X)."""
+    if Y is None:
+        Y = X
+    g = X.T @ Y
+    nx = np.einsum("ij,ij->j", X, X)
+    ny = np.einsum("ij,ij->j", Y, Y)
+    sq = nx[:, None] + ny[None, :] - 2.0 * g
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def kernel_matrix(K, X, Y=None):
+    """Dense kernel matrix K(X_i, Y_j) for the columns of X and Y (default X)."""
+    return K.eval_sqdist(pairwise_sqdist(X, Y))
+
+
 def truncated_covariance_direct(X, K):
     """M = (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
 
@@ -15,7 +32,7 @@ def truncated_covariance_direct(X, K):
     M = np.zeros((p, p))
     if n == 1:
         return M
-    A = K.gram(W)
+    A = kernel_matrix(K, W)
     for i in range(n):
         diffs = W - W[:, i:i + 1]  # p x n, column j = X_j - X_i
         M += (diffs * A[i]) @ diffs.T

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from rmtlab import ensemble as R
-from oracle import truncated_covariance_direct
+from oracle import kernel_matrix, pairwise_sqdist, truncated_covariance_direct
 from rmtlab.ensemble import (
     KernelSpec,
     _kernel_moment_mc,
     adjacency_stream,
-    pairwise_sqdist,
     sample_data_matrix,
     truncated_covariance,
 )
@@ -89,7 +88,7 @@ def test_laplacian_identities():
     X = sample_data_matrix(6, 4, seed=2)
     K = KernelSpec(variant="gaussian", dimension=6, tau=1.0)
     deg, _ = adjacency_stream(X, K)
-    A = K.gram(X.entries)
+    A = kernel_matrix(K, X.entries)
     np.fill_diagonal(A, 0.0)
     assert np.allclose(deg, A.sum(axis=1), rtol=1e-12, atol=1e-14)
     M = truncated_covariance(X, K)
@@ -205,7 +204,7 @@ def test_stream_over_many_row_chunks_equals_pair_sum(variant):
     X = sample_data_matrix(40, 2100, seed=21)
     K = KernelSpec(variant=variant, dimension=40, **KERNELS[variant])
     M1 = truncated_covariance_direct(X, K)
-    A = K.gram(X.entries)
+    A = kernel_matrix(K, X.entries)
     np.fill_diagonal(A, 0.0)
     for block in (2048, 700):
         M2 = truncated_covariance(X, K, block=block)
@@ -237,16 +236,23 @@ def test_stream_rejects_block_below_one(block):
         truncated_covariance(X, K, block=block)
 
 
-def _integer_data_on_the_radius(p=36, bases=500, c=1000, seed=3):
+def _integer_pairs_on_the_radius(p=36, bases=500, c=1000, seed=3):
     # integer entries in [-2^11, 2^11]: float32 sums of their products round,
     # float64 and int64 ones are exact. Each base column has a partner at
     # base + c sigma with sigma a sign vector, exactly at distance
-    # r = sqrt(p) c = 6000 (p = 36), so many pairs lie on the radius
+    # r = sqrt(p) c = 6000 (p = 36), so many pairs lie on the radius. Also
+    # returns a random order of the 2 * bases columns
     rng = np.random.default_rng(seed)
     base = rng.integers(-1024, 1025, size=(p, bases))
     partner = base + c * rng.choice([-1, 1], size=(p, bases))
-    W = np.concatenate([base, partner], axis=1)[:, rng.permutation(2 * bases)]
-    return W, np.sqrt(p) * c
+    return base, partner, np.sqrt(p) * c, rng.permutation(2 * bases)
+
+
+def _integer_data_on_the_radius():
+    # base and partner columns in random order, so that pairs on the radius
+    # fall into every tile
+    base, partner, radius, order = _integer_pairs_on_the_radius()
+    return np.concatenate([base, partner], axis=1)[:, order], radius
 
 
 def _exact_indicator_stream(W, radius):
@@ -280,6 +286,68 @@ def test_indicator_degrees_do_not_move_under_power_of_two_scaling(k):
     X = R.DataMatrix(np.ldexp(W.astype(float), k), p, n, "integer", 1.0, 0)
     K = KernelSpec(variant="indicator", dimension=p, radius=np.ldexp(radius, k))
     assert np.array_equal(adjacency_stream(X, K, block=700)[0], deg)
+
+
+def _exact_indicator_means(W, V, radius):
+    sq = (W * W).sum(axis=0)[:, None] + (V * V).sum(axis=0) - 2 * (W.T @ V)
+    return sq, (sq <= radius**2).sum(axis=1) / V.shape[1]
+
+
+@pytest.mark.parametrize("block", [2048, 700, 64])
+def test_indicator_xi_is_exact_on_integer_data(block):
+    # the rows are all 1000 columns, the columns of V the 500 partners, so
+    # every base row has its partner exactly on the radius; block 700 splits
+    # the rows, block 64 the rows and V
+    _, partner, radius, _ = _integer_pairs_on_the_radius()
+    W, _ = _integer_data_on_the_radius()
+    sq, xi = _exact_indicator_means(W, partner, radius)
+    assert (sq == radius**2).sum() >= 500
+    K = KernelSpec(variant="indicator", dimension=W.shape[0], radius=radius)
+    got = R._kernel_row_means(W.astype(float), partner.astype(float), K, block=block)
+    assert np.array_equal(got, xi)
+
+
+@pytest.mark.parametrize("k", [-60, 0, 60])
+def test_indicator_xi_does_not_move_under_power_of_two_scaling(k):
+    _, partner, radius, _ = _integer_pairs_on_the_radius()
+    W, _ = _integer_data_on_the_radius()
+    _, xi = _exact_indicator_means(W, partner, radius)
+    K = KernelSpec(variant="indicator", dimension=W.shape[0],
+                   radius=np.ldexp(radius, k))
+    got = R._kernel_row_means(np.ldexp(W.astype(float), k),
+                              np.ldexp(partner.astype(float), k), K, block=700)
+    assert np.array_equal(got, xi)
+
+
+@pytest.mark.parametrize("block", [2048, 700, 64])
+def test_gaussian_xi_matches_dense_kernel_matrix(block):
+    # block 700 and 64 sum each row over several tiles of V
+    X = sample_data_matrix(30, 900, seed=8)
+    K = KernelSpec(variant="gaussian", dimension=30, tau=1.0)
+    V = R.draw_entries(R.rng_from_seed(5, stream=(0xD1A6,)), "gaussian", 1.0,
+                       (30, 2000))
+    dense = kernel_matrix(K, X.entries, V).mean(axis=1)
+    got = R._kernel_row_means(X.entries, V, K, block=block)
+    assert np.allclose(got, dense, rtol=0.0, atol=1e-12)
+    if block == 2048:
+        assert np.allclose(R.xi_conditional(X, K, 2000, seed=5), dense,
+                           rtol=0.0, atol=1e-12)
+
+
+def test_xi_memory_stays_below_the_kernel_matrix():
+    # the dense route held the n x m distance matrix; the tiles are block x
+    # block, with the indicator's float32 operands inside that budget
+    X = sample_data_matrix(20, 2000, seed=1)
+    V = sample_data_matrix(20, 2000, seed=2).entries
+    for K in (KernelSpec(variant="gaussian", dimension=20, tau=1.0),
+              KernelSpec(variant="indicator", dimension=20, radius=6.0)):
+        tracemalloc.start()
+        try:
+            R._kernel_row_means(X.entries, V, K, block=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8, K.variant
 
 
 def test_stream_memory_stays_below_one_column_block():
@@ -513,6 +581,12 @@ def test_xi_conditional_rejects_tiny_sample():
     with pytest.raises(ValueError):
         R.xi_conditional(X, KernelSpec(variant="constant", dimension=4),
                          mc_conditional=10)
+
+
+def test_xi_conditional_rejects_kernel_of_another_dimension():
+    X = sample_data_matrix(20, 30, seed=0)
+    with pytest.raises(ValueError, match="dimension"):
+        R.xi_conditional(X, KernelSpec(variant="gaussian", dimension=7, tau=1.0))
 
 
 def test_w2_gap_shrinks_with_size():

@@ -347,6 +347,17 @@ def test_diagnostics_reductions_rejects_no_seeds(tmp_path):
     assert not (tmp_path / "diag").exists()
 
 
+@pytest.mark.parametrize("p_list, n_list",
+                         [([10, 20], [40]), ([10], [40, 80]), ([], [])])
+def test_diagnostics_reductions_rejects_unpaired_sizes(tmp_path, p_list, n_list):
+    # zip would drop the unpaired sizes, and no sizes at all would write an
+    # empty CSV reporting a decreasing median
+    with pytest.raises(ValueError, match="equally many p and n"):
+        harness.diagnostics_reductions(p_list=p_list, n_list=n_list, seeds=[0],
+                                       out_dir=str(tmp_path / "diag"))
+    assert not (tmp_path / "diag").exists()
+
+
 def test_diagnostics_reductions_small(tmp_path):
     result = harness.diagnostics_reductions(
         p_list=(40, 80), n_list=(100, 200), seeds=range(3),
