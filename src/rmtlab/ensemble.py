@@ -172,6 +172,12 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
     possibly at a pair whose float64 margin lies within float64 rounding of
     0. Memory beyond X stays O(p^2 + p block + block^2).
     """
+    deg, xaxt, _ = _stream(X, K, block)
+    return deg, xaxt
+
+
+def _stream(X, K, block):
+    """`adjacency_stream`, also returning its tile buffer for reuse."""
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     if block < 1:
@@ -203,7 +209,7 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
                 D += (W[:, lo:hi] @ A) @ W[:, lo:hi].T
             else:
                 S += (W[:, lo:hi] @ A) @ W[:, lo2:hi2].T
-    return deg, D + S + S.T
+    return deg, D + S + S.T, buf
 
 
 def _kernel_tile(K, A, Wi, Vj, sqn_i, sqn_j):
@@ -241,6 +247,11 @@ class _IndicatorTiles:
     absolute term covers float32 underflow. A pair with |m| > band thus
     gets the formula's value from the sign of m. Every other pair is decided
     again by the formula, with g_ij from its own two columns.
+
+    The symmetric stream takes float64 0/1 tiles (`fill`), whose upper half
+    holds the margins; the X-vs-V walk of the conditional means takes only
+    row counts (`count`), so its buffer holds float32 margins and no float64
+    tile, half the bytes.
     """
 
     def __init__(self, W, V, sqn, sqv, r2, block):
@@ -251,19 +262,59 @@ class _IndicatorTiles:
         self.norm, self.normv = (np.sqrt(s) * self.scale for s in (sqn, sqv))
         self.coef = ((p + 2) * _U32 / (1 - (p + 2) * _U32) + 3 * _U32) * (1 + _U32)
         self.tiny = (p + 2) * 2.0**-146  # subnormal casts and products
-        # the tile buffer, then the float32 operands L and R
+        # the tile (float64 on the symmetric stream, float32 margins on the
+        # X-vs-V walk), then the float32 operands L and R
         h, w = min(block, W.shape[1]), min(block, V.shape[1])
-        self.buf = np.empty(h * w + ((h + w) * (p + 2) + 1) // 2)
-        ops = self.buf[h * w:].view(np.float32)
+        tile = h * w * (2 if V is W else 1)  # in float32 elements
+        self.buf = np.empty((tile + (h + w) * (p + 2) + 1) // 2)
+        ops = self.buf.view(np.float32)[tile:]
         self.L, self.R = ops[:h * (p + 2)], ops[h * (p + 2):]
 
     def fill(self, A, deg, lo, hi, lo2, hi2):
-        """Decide tile (I, J) into A as float64 0/1 values and add its row
-        sums to deg[I]; on the symmetric stream add its column sums to
-        deg[J] too, or zero the diagonal of a diagonal tile."""
+        """Decide tile (I, J) of the symmetric stream into A as float64 0/1
+        values and add its row sums to deg[I]; add its column sums to deg[J]
+        too, or zero the diagonal of a diagonal tile."""
+        (h, w), cols = A.shape, lo2 != lo
+        ones = np.ones(max(h, w))
+        # the float32 margins fill the upper half of A's bytes, so writing a
+        # chunk's float64 rows overwrites only margins already read. 0/1
+        # degree sums are exact in any order, so they are taken from the
+        # chunks in cache; a diagonal tile is symmetric and adds its row sums
+        # only
+        m = A.reshape(-1).view(np.float32)[h * w:].reshape(h, w)
+        for r, below in self._decided(m, lo, hi, lo2, hi2):
+            c = len(below)
+            A[r:r + c] = below
+            deg[lo + r:lo + r + c] += A[r:r + c] @ ones[:w]
+            if cols:
+                deg[lo2:hi2] += ones[:c] @ A[r:r + c]
+        for t, i, j, edge in self._redecided(lo, lo2, w):
+            A.reshape(-1)[t] = edge  # each pair is 0 in A so far
+            np.add.at(deg, i, edge)
+            if cols:
+                np.add.at(deg, j, edge)
+        if not cols:
+            deg[lo:hi] -= A.diagonal()
+            np.fill_diagonal(A, 0.0)
+
+    def count(self, total, lo, hi, lo2, hi2):
+        """Add the number of 1s in each row of tile (I, J) to total[I],
+        counted from the float32 margins and the pairs decided again; the
+        counts are exact integers."""
+        h, w = hi - lo, hi2 - lo2
+        m = self.buf.view(np.float32)[:h * w].reshape(h, w)
+        for r, below in self._decided(m, lo, hi, lo2, hi2):
+            total[lo + r:lo + r + len(below)] += below.sum(axis=1, dtype=np.int32)
+        for _, i, _, edge in self._redecided(lo, lo2, w):
+            np.add.at(total, i, edge)
+
+    def _decided(self, m, lo, hi, lo2, hi2):
+        """The float32 margins of tile (I, J) into m, then per cache-sized
+        chunk of rows from row r, (r, below) with below the pairs whose
+        margin is at most -band, 1 for sure; a pair above the band is 0.
+        The pairs within the band are kept for `_redecided`."""
         W, V, a, b = self.W, self.V, self.a, self.b
-        (h, w), p = A.shape, W.shape[0]
-        cols = V is W and lo2 != lo  # column degrees on the symmetric stream
+        (h, w), p = m.shape, W.shape[0]
         L = self.L[:h * (p + 2)].reshape(h, p + 2)
         if lo != self.lo:
             self.lo = lo
@@ -275,53 +326,86 @@ class _IndicatorTiles:
         np.multiply(V[:, lo2:hi2], self.scale, out=R[:p], casting="same_kind")
         R[p] = 1.0
         R[p + 1] = b[lo2:hi2]
-        # the float32 margins fill the upper half of A's bytes, so writing a
-        # chunk's float64 rows overwrites only margins already read
-        m = A.reshape(-1).view(np.float32)[h * w:].reshape(h, w)
         np.matmul(L, R, out=m)
         band = self.coef * (2.0 * self.norm[lo:hi].max() * self.normv[lo2:hi2].max()
                             + np.abs(a[lo:hi]).max() + np.abs(b[lo2:hi2]).max())
         band = np.nextafter(np.float32(band + self.tiny), np.float32(np.inf))
-        rows = max(1, _CHUNK_BYTES // A[0].nbytes)
+        rows = max(1, _CHUNK_BYTES // (8 * w))
         below, near = np.empty((2, min(rows, h), w), bool)
-        ones = np.ones(max(rows, w))
         found = []
-        # 0/1 degree sums are exact in any order, so they are taken from
-        # the chunks in cache; a diagonal tile is symmetric and adds its row
-        # sums only
         for r in range(0, h, rows):
             c = min(rows, h - r)
             np.less_equal(m[r:r + c], -band, out=below[:c])
             np.less_equal(m[r:r + c], band, out=near[:c])
             near[:c] ^= below[:c]
             found.append(np.flatnonzero(near[:c]) + r * w)
-            A[r:r + c] = below[:c]
-            deg[lo + r:lo + r + c] += A[r:r + c] @ ones[:w]
-            if cols:
-                deg[lo2:hi2] += ones[:c] @ A[r:r + c]
-        found = np.concatenate(found)
-        for s in range(0, len(found), _REDECIDE_BATCH):
-            t = found[s:s + _REDECIDE_BATCH]  # each pair is 0 in A so far
+            yield r, below[:c]
+        self.found = np.concatenate(found)
+
+    def _redecided(self, lo, lo2, w):
+        """Per batch of the last tile's pairs within the band: their flat
+        indices t in the tile, their columns i of W and j of V, and their
+        float64 decisions."""
+        for s in range(0, len(self.found), _REDECIDE_BATCH):
+            t = self.found[s:s + _REDECIDE_BATCH]
             i, j = lo + t // w, lo2 + t % w
-            g = np.einsum("ij,ij->j", W.take(i, axis=1), V.take(j, axis=1))
-            edge = -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
-            A.reshape(-1)[t] = edge
-            np.add.at(deg, i, edge)
-            if cols:
-                np.add.at(deg, j, edge)
-        if V is W and lo2 == lo:
-            deg[lo:hi] -= A.diagonal()
-            np.fill_diagonal(A, 0.0)
+            g = np.einsum("ij,ij->j", self.W.take(i, axis=1), self.V.take(j, axis=1))
+            yield t, i, j, -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
 
 
 def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):
-    """M = X L X^T / n^2 = ((W deg) W^T - W A W^T) / n^2 with L = diag(deg) - A,
-    equal to the pair sum (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
+    """M = X L X^T / n^2 = (W diag(deg) W^T - W A W^T) / n^2 with
+    L = diag(deg) - A, equal to the pair sum
+    (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
+
+    deg and W A W^T come from `adjacency_stream`; W diag(deg) W^T is formed
+    in the stream's tile buffer, one GEMM per block of output rows
+    (`_weighted_gram`), so memory beyond X stays O(p^2 + p block + block^2):
+    no p x n temporary.
     """
-    deg, xaxt = adjacency_stream(X, K, block)
-    W = X.entries
-    M = ((W * deg) @ W.T - xaxt) / X.n**2
-    return 0.5 * (M + M.T)
+    return covariance_and_stream(X, K, block)[0]
+
+
+def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=2048):
+    """`truncated_covariance` M with the degrees and W A W^T of
+    `adjacency_stream` it is formed from: (M, deg, W A W^T)."""
+    deg, xaxt, buf = _stream(X, K, block)
+    # the row blocks go into the stream's buffer: a separate 32 MB block at
+    # 400 x 20000, once freed, stayed in the C heap and raised the next
+    # trial's peak by as much
+    M = _weighted_gram(X.entries, deg, block, buf)
+    M -= xaxt
+    M /= X.n**2
+    return 0.5 * (M + M.T), deg, xaxt
+
+
+def _row_blocks(p, n, block):
+    """Near-equal blocks of the p output rows of W diag(v) W^T, each of at
+    least 2 rows, so that a block's k x n product W[rows] * v stays within
+    a block x block tile where it can; one block when p n does."""
+    k = max(1, min(-(-p * n // block**2), p // 2))
+    edges = [i * p // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _weighted_gram(W, v, block=2048, buf=None):
+    """W diag(v) W^T, one GEMM (W[rows] * v) W^T per block of output rows,
+    each product W[rows] * v in `buf` where it fits.
+
+    A blocked BLAS GEMM sums each output entry over the inner dimension in
+    an order that does not depend on how many rows it is asked for (Goto
+    and van de Geijn, ACM TOMS 2008), so the row blocks give the single
+    GEMM's bits on that path; a 1-row block would go to gemv, and a small
+    product to a small-matrix kernel, which sum in other orders.
+    """
+    p, n = W.shape
+    out = np.empty((p, p))
+    for r, s in _row_blocks(p, n, block):
+        fits = buf is not None and buf.size >= (s - r) * n
+        Wv = buf[:(s - r) * n].reshape(s - r, n) if fits else np.empty((s - r, n))
+        np.multiply(W[r:s], v, out=Wv)
+        np.matmul(Wv, W.T, out=out[r:s])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +581,11 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
     K(X_i, v_j) over m = mc_conditional fresh draws v_j of V.
 
     The X-vs-V kernel matrix is walked in block x block tiles decided as in
-    `adjacency_stream` (an indicator tile by the float32 margin GEMM, with
-    the pairs in its rounding band decided again in float64), so no n x m
-    array is formed: memory beyond X and V is O(p (n + m) + block^2).
+    `adjacency_stream`, so no n x m array is formed: memory beyond X and V
+    is O(p (n + m) + block^2). An indicator tile is counted from its float32
+    margins, with the pairs in their rounding band decided again in float64
+    (`_IndicatorTiles.count`): no float64 tile is formed, and the exact
+    integer row counts give the float64 Gram's means.
     """
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
@@ -517,16 +603,16 @@ def _kernel_row_means(W, V, K, block=2048):
     sqn, sqv = (np.einsum("ij,ij->j", U, U) for U in (W, V))
     indicator = (_IndicatorTiles(W, V, sqn, sqv, K.radius**2, block)
                  if K.variant == "indicator" else None)
-    buf = indicator.buf if indicator else np.empty(min(block, n) * min(block, m))
+    buf = None if indicator else np.empty(min(block, n) * min(block, m))
     total = np.zeros(n)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         for lo2 in range(0, m, block):
             hi2 = min(lo2 + block, m)
-            A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
             if indicator:
-                indicator.fill(A, total, lo, hi, lo2, hi2)
+                indicator.count(total, lo, hi, lo2, hi2)
             else:
+                A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
                 _kernel_tile(K, A, W[:, lo:hi], V[:, lo2:hi2], sqn[lo:hi], sqv[lo2:hi2])
                 total[lo:hi] += A.sum(axis=1)
     return total / m
@@ -534,8 +620,7 @@ def _kernel_row_means(W, V, K, block=2048):
 
 def xi_bar_matrix(X: DataMatrix, xi):
     """Mbar = (1/n) sum_i xi_i X_i X_i^T, the reduced matrix of the diagnostics."""
-    W = X.entries
-    Mbar = (W * xi) @ W.T / X.n
+    Mbar = _weighted_gram(X.entries, xi) / X.n
     return 0.5 * (Mbar + Mbar.T)
 
 

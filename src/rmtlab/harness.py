@@ -42,6 +42,9 @@ class ExperimentConfig:
     def validate(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        if self.entry_law not in ensemble.ENTRY_LAWS:
+            raise ValueError(f"unknown entry_law {self.entry_law!r}; "
+                             f"choose from {ensemble.ENTRY_LAWS}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.p < 2 or self.n < 2:
@@ -460,6 +463,9 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
     if not p_list or len(p_list) != len(n_list):
         raise ValueError("diagnostics_reductions needs equally many p and n values, "
                          f"at least one, got p_list={p_list}, n_list={n_list}")
+    if kernel_variant not in ("indicator", "constant"):
+        raise ValueError("diagnostics_reductions takes the indicator or constant "
+                         f"kernel, got {kernel_variant!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -471,8 +477,7 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
                 if kernel_variant == "indicator" else None)
             X = ensemble.sample_data_matrix(p, n, "gaussian", sigma,
                                             ensemble.derive_seed(seed, p))
-            deg, xaxt = ensemble.adjacency_stream(X, K)
-            M = ((X.entries * deg) @ X.entries.T - xaxt) / n**2
+            M, deg, xaxt = ensemble.covariance_and_stream(X, K)
             xaxt /= n**2
             xi = ensemble.xi_conditional(X, K, mc_conditional, seed)
             w2 = spectra.wasserstein2(

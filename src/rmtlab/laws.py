@@ -2,6 +2,7 @@
 # distribution of the conditional kernel mean, the fixed-point solver for the
 # generalized Marchenko-Pastur Stieltjes transform, and inversion to densities.
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,10 +191,14 @@ class ZetaDistribution:
                                 weights=np.array([1.0]))
 
 
+@functools.cache
 def gauss_hermite_prob(n):
-    """Nodes and weights for E f(Z), Z ~ N(0, 1) (probabilists' Hermite)."""
+    """Nodes and weights for E f(Z), Z ~ N(0, 1) (probabilists' Hermite),
+    computed once per n and returned read-only."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(n)
-    return nodes, weights / weights.sum()
+    weights = weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def zeta_indicator(z_alpha, n_atoms=64) -> ZetaDistribution:

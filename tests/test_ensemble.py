@@ -366,6 +366,69 @@ def test_stream_memory_stays_below_one_column_block():
         assert peak < 4000 * 256 * 8, K.variant
 
 
+def test_indicator_xi_forms_no_float64_tile():
+    # the X-vs-V walk counts each tile's 1s from its float32 margins, so its
+    # peak stays below one block x block float64 tile
+    X = sample_data_matrix(20, 2000, seed=1)
+    V = sample_data_matrix(20, 2000, seed=2).entries
+    K = KernelSpec(variant="indicator", dimension=20, radius=6.0)
+    tracemalloc.start()
+    try:
+        R._kernel_row_means(X.entries, V, K, block=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 8
+
+
+def test_covariance_memory_stays_below_a_p_by_n_array():
+    # W diag(deg) W^T is formed a block of output rows at a time, so no
+    # p x n temporary such as W * deg is held
+    X = sample_data_matrix(40, 8000, seed=1)
+    for K in (KernelSpec(variant="gaussian", dimension=40, tau=1.0),
+              KernelSpec(variant="indicator", dimension=40, radius=9.0)):
+        tracemalloc.start()
+        try:
+            truncated_covariance(X, K, block=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 8000 * 8, K.variant
+
+
+@pytest.mark.parametrize("p,n,block,count", [
+    (37, 600, 32, 18), (37, 600, 2, 18), (5, 500, 16, 2), (2, 10**6, 2, 1),
+    (400, 20000, 2048, 2), (200, 500, 2048, 1), (400, 1000, 2048, 1)])
+def test_row_blocks_are_near_equal_and_never_one_row(p, n, block, count):
+    blocks = R._row_blocks(p, n, block)
+    assert len(blocks) == count
+    assert blocks[0][0] == 0 and blocks[-1][1] == p
+    assert all(s == r for (_, s), (r, _) in zip(blocks, blocks[1:]))
+    heights = [s - r for r, s in blocks]
+    assert min(heights) >= 2 and max(heights) - min(heights) <= 1
+
+
+@pytest.mark.parametrize("block", [2048, 32, 2])
+def test_weighted_gram_is_exact_on_integer_data(block):
+    # integer products and sums stay below 2^53, so every summation order
+    # gives the exact value: the row blocks must cover all of it; p = 37 is
+    # split raggedly (block 32 and 2 give 18 blocks of 2 or 3 rows)
+    rng = np.random.default_rng(4)
+    W = rng.integers(-1024, 1025, size=(37, 600))
+    v = rng.integers(0, 600, size=600)
+    got = R._weighted_gram(W.astype(float), v.astype(float), block)
+    assert np.array_equal(got, (W * v) @ W.T)
+
+
+def test_weighted_gram_row_blocks_agree_with_one_gemm():
+    X = sample_data_matrix(37, 3000, seed=9)
+    v = np.random.default_rng(9).uniform(0.0, 3000.0, 3000)
+    one = (X.entries * v) @ X.entries.T
+    got = R._weighted_gram(X.entries, v, block=64)
+    assert len(R._row_blocks(37, 3000, 64)) > 1
+    assert np.linalg.norm(got - one) <= 1e-13 * np.linalg.norm(one)
+
+
 def test_m_is_positive_semidefinite():
     X = sample_data_matrix(30, 80, seed=13)
     K = KernelSpec(variant="gaussian", dimension=30, tau=1.0)

@@ -35,6 +35,9 @@ def test_validate_rejects_bad_fields(tmp_path):
     # caught before the trials run, not when the histogram is formed
     with pytest.raises(ValueError, match="histogram.bins"):
         _cfg(tmp_path, histogram_bins=0).validate()
+    # caught before the prediction is built, not at the first draw
+    with pytest.raises(ValueError, match="entry_law"):
+        _cfg(tmp_path, entry_law="cauchy").validate()
 
 
 @pytest.mark.parametrize("variant,extra", [("indicator", {"kernel_z_alpha": 0.0}),
@@ -354,6 +357,17 @@ def test_diagnostics_reductions_rejects_unpaired_sizes(tmp_path, p_list, n_list)
     # empty CSV reporting a decreasing median
     with pytest.raises(ValueError, match="equally many p and n"):
         harness.diagnostics_reductions(p_list=p_list, n_list=n_list, seeds=[0],
+                                       out_dir=str(tmp_path / "diag"))
+    assert not (tmp_path / "diag").exists()
+
+
+@pytest.mark.parametrize("variant", ["gaussian", "custom", "cauchy"])
+def test_diagnostics_reductions_rejects_unbuildable_kernels(tmp_path, variant):
+    # it takes no tau or profile, so only the indicator and constant kernels
+    # can be built
+    with pytest.raises(ValueError, match="indicator or constant"):
+        harness.diagnostics_reductions(p_list=(40,), n_list=(100,), seeds=[0],
+                                       kernel_variant=variant,
                                        out_dir=str(tmp_path / "diag"))
     assert not (tmp_path / "diag").exists()
 

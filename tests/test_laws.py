@@ -208,6 +208,14 @@ def test_zeta_validation():
         ZetaDistribution(values=np.array([1.5]), weights=np.array([1.0]))
 
 
+def test_gauss_hermite_rule_is_computed_once_and_read_only():
+    nodes, weights = laws.gauss_hermite_prob(64)
+    assert laws.gauss_hermite_prob(64)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    x, w = np.polynomial.hermite_e.hermegauss(64)
+    assert np.array_equal(nodes, x) and np.array_equal(weights, w / w.sum())
+
+
 def test_zeta_indicator_saturates():
     zeta = zeta_indicator(40.0)
     assert np.all(np.abs(zeta.values - 1.0) < 1e-9)
