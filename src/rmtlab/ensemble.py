@@ -156,21 +156,22 @@ _REDECIDE_BATCH = 1024
 _U32 = 2.0**-24  # unit roundoff of float32
 
 
-def adjacency_stream(X: DataMatrix, K: KernelSpec, block=2048):
+def adjacency_stream(X: DataMatrix, K: KernelSpec, block=1024):
     """Degrees deg = A 1 and W A W^T of the adjacency A_ij = K(X_i, X_j)
     (zero diagonal) without materialising A.
 
     A is symmetric, so only its upper-triangular block x block tiles
-    (I, J), J >= I, are formed, each once and in one reused buffer:
-    W A W^T = D + S + S^T with D the diagonal tiles' W_I A_II W_I^T and S
-    the off-diagonal tiles' W_I A_IJ W_J^T. A smooth kernel's tile is its
-    float64 Gram block turned into kernel values a cache-sized chunk of rows
-    at a time. An indicator tile is one float32 GEMM of the margins
-    |x_i - x_j|^2 - r^2, each pair decided by the sign of its margin except
-    the pairs within the GEMM's rounding bound of 0, which are decided again
-    in float64 (`_IndicatorTiles`). A is then the float64 Gram's, except
-    possibly at a pair whose float64 margin lies within float64 rounding of
-    0. Memory beyond X stays O(p^2 + p block + block^2).
+    (I, J), J >= I, are formed, each once and in one reused buffer. Row
+    block I sums its tiles into one block x p panel V_I = A_II W_I^T / 2 +
+    sum_{J > I} A_IJ W_J^T, and W A W^T = S + S^T, S = sum_I W_I V_I: one
+    p x p GEMM per row block, not per tile, and exactly symmetric. A smooth
+    kernel's tile is its float64 Gram block turned into kernel values a
+    cache-sized chunk of rows at a time. An indicator tile is one float32
+    GEMM of the margins |x_i - x_j|^2 - r^2, each pair decided by the sign
+    of its margin except the pairs within the GEMM's rounding bound of 0,
+    which are decided again in float64 (`_IndicatorTiles`). A is then the
+    float64 Gram's, except possibly at a pair whose float64 margin lies
+    within float64 rounding of 0. Memory beyond X: O(p^2 + p block + block^2).
     """
     deg, xaxt, _ = _stream(X, K, block)
     return deg, xaxt
@@ -185,13 +186,17 @@ def _stream(X, K, block):
     W, p, n = X.entries, X.p, X.n
     sqn = np.einsum("ij,ij->j", W, W)
     deg = np.zeros(n)
-    D = np.zeros((p, p))
+    # panels and S below the tile buffer in the heap: above it, the freed
+    # panel left a hole that raised the diagnostics' peak RSS by 1-3 MB
+    panel = np.empty((min(block, n), p))
+    tmp = np.empty_like(panel) if n > block else None  # only rows of 2+ tiles
     S = np.zeros((p, p))
     indicator = (_IndicatorTiles(W, W, sqn, sqn, K.radius**2, block)
                  if K.variant == "indicator" else None)
     buf = indicator.buf if indicator else np.empty(min(block, n) ** 2)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
+        V = panel[:hi - lo]
         for lo2 in range(lo, n, block):
             hi2 = min(lo2 + block, n)
             A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
@@ -206,15 +211,20 @@ def _stream(X, K, block):
                     deg[lo:hi] += A.sum(axis=1)
                     deg[lo2:hi2] += A.sum(axis=0)
             if lo2 == lo:
-                D += (W[:, lo:hi] @ A) @ W[:, lo:hi].T
+                np.matmul(A, W[:, lo:hi].T, out=V)
+                V *= 0.5  # exact: (A_II / 2) W_I^T
             else:
-                S += (W[:, lo:hi] @ A) @ W[:, lo2:hi2].T
-    return deg, D + S + S.T, buf
+                np.matmul(A, W[:, lo2:hi2].T, out=tmp[:hi - lo])
+                V += tmp[:hi - lo]
+        S += W[:, lo:hi] @ V
+    return deg, np.add(S, S.T, out=S), buf
 
 
 def _kernel_tile(K, A, Wi, Vj, sqn_i, sqn_j):
     """Kernel values K(w_i, v_j) into A: the float64 Gram block Wi^T Vj,
     turned into kernel values a cache-sized chunk of rows at a time."""
+    if K.variant == "constant":  # every value is 1: no Gram needed
+        return A.fill(1.0)
     np.matmul(Wi.T, Vj, out=A)
     rows = max(1, _CHUNK_BYTES // A[0].nbytes)
     for r in range(0, len(A), rows):
@@ -353,26 +363,26 @@ class _IndicatorTiles:
             yield t, i, j, -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
 
 
-def truncated_covariance(X: DataMatrix, K: KernelSpec, block=2048):
+def truncated_covariance(X: DataMatrix, K: KernelSpec, block=1024):
     """M = X L X^T / n^2 = (W diag(deg) W^T - W A W^T) / n^2 with
     L = diag(deg) - A, equal to the pair sum
     (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
 
-    deg and W A W^T come from `adjacency_stream`; W diag(deg) W^T is formed
-    in the stream's tile buffer, one GEMM per block of output rows
-    (`_weighted_gram`), so memory beyond X stays O(p^2 + p block + block^2):
-    no p x n temporary.
+    deg and W A W^T come from `adjacency_stream`'s row panels; W diag(deg)
+    W^T is formed in the stream's tile buffer, one GEMM per block of output
+    rows (`_weighted_gram`): no p x n temporary, and memory beyond X is
+    O(p^2 + p block + block^2), one 1024 x 1024 tile at the default block.
     """
     return covariance_and_stream(X, K, block)[0]
 
 
-def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=2048):
+def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=1024):
     """`truncated_covariance` M with the degrees and W A W^T of
     `adjacency_stream` it is formed from: (M, deg, W A W^T)."""
     deg, xaxt, buf = _stream(X, K, block)
-    # the row blocks go into the stream's buffer: a separate 32 MB block at
-    # 400 x 20000, once freed, stayed in the C heap and raised the next
-    # trial's peak by as much
+    # the row blocks go into the stream's buffer: a separate block (32 MB at
+    # 400 x 20000 and block 2048), once freed, stayed in the C heap and
+    # raised the next trial's peak by as much
     M = _weighted_gram(X.entries, deg, block, buf)
     M -= xaxt
     M /= X.n**2
@@ -563,7 +573,7 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
 # Semi-high-dimensional normalisation and reduction diagnostics
 # ---------------------------------------------------------------------------
 
-def normalized_matrix_E(X: DataMatrix, K: KernelSpec, alpha, sigma, block=2048):
+def normalized_matrix_E(X: DataMatrix, K: KernelSpec, alpha, sigma, block=1024):
     """E = sqrt(n/p) (M - alpha sigma^2 I), the semi-high-dimensional centering."""
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")

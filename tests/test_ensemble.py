@@ -226,6 +226,17 @@ def test_stream_checks_custom_profile_in_every_chunk(block):
         adjacency_stream(X, K, block=block)
 
 
+@pytest.mark.parametrize("variant", sorted(KERNELS))
+@pytest.mark.parametrize("block", [1024, 700, 64])
+def test_stream_xaxt_is_exactly_symmetric(variant, block):
+    # W A W^T = S + S^T from the row panels; n = 2100 gives a ragged last
+    # block at 1024 and 64, three equal ones at 700
+    X = sample_data_matrix(20, 2100, seed=5)
+    K = KernelSpec(variant=variant, dimension=20, **KERNELS[variant])
+    _, xaxt = adjacency_stream(X, K, block=block)
+    assert np.array_equal(xaxt, xaxt.T)
+
+
 @pytest.mark.parametrize("block", [0, -1])
 def test_stream_rejects_block_below_one(block):
     X = sample_data_matrix(5, 6, seed=1)
@@ -366,6 +377,21 @@ def test_stream_memory_stays_below_one_column_block():
         assert peak < 4000 * 256 * 8, K.variant
 
 
+def test_default_stream_memory_is_one_1024_tile():
+    # at the default block the stream holds one 1024 x 1024 float64 tile
+    # (8.4 MB), the float32 operands and two 1024 x p panels
+    X = sample_data_matrix(100, 5000, seed=1)
+    K = KernelSpec(variant="indicator", dimension=100,
+                   radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 100))
+    tracemalloc.start()
+    try:
+        truncated_covariance(X, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_indicator_xi_forms_no_float64_tile():
     # the X-vs-V walk counts each tile's 1s from its float32 margins, so its
     # peak stays below one block x block float64 tile
@@ -398,7 +424,8 @@ def test_covariance_memory_stays_below_a_p_by_n_array():
 
 @pytest.mark.parametrize("p,n,block,count", [
     (37, 600, 32, 18), (37, 600, 2, 18), (5, 500, 16, 2), (2, 10**6, 2, 1),
-    (400, 20000, 2048, 2), (200, 500, 2048, 1), (400, 1000, 2048, 1)])
+    (400, 20000, 2048, 2), (400, 20000, 1024, 8), (200, 500, 2048, 1),
+    (400, 1000, 2048, 1)])
 def test_row_blocks_are_near_equal_and_never_one_row(p, n, block, count):
     blocks = R._row_blocks(p, n, block)
     assert len(blocks) == count

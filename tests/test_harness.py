@@ -212,7 +212,8 @@ def test_run_experiment_deterministic_and_thread_invariant(tmp_path):
 
 
 def test_semi_high_dim_multi_tile_thread_invariant(tmp_path):
-    # n above the default block of 2048, so each trial walks a 2 x 2 tile grid
+    # n above twice the default block of 1024, so each trial walks a 3 x 3
+    # tile grid with a ragged last block
     cfg = _cfg(tmp_path, regime="semi_high_dim", p=50, n=2100,
                kernel_variant="indicator", kernel_z_alpha=0.0, trials=2)
 
