@@ -2,7 +2,6 @@
 # kernel adjacency degrees, and the truncated covariance matrices whose
 # spectra the rest of the library analyses.
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +155,10 @@ _REDECIDE_BATCH = 1024
 _U32 = 2.0**-24  # unit roundoff of float32
 
 
-def adjacency_stream(X: DataMatrix, K: KernelSpec, block=1024):
+def _stream(X: DataMatrix, K: KernelSpec, block):
     """Degrees deg = A 1 and W A W^T of the adjacency A_ij = K(X_i, X_j)
-    (zero diagonal) without materialising A.
+    (zero diagonal) without materialising A, and the tile buffer, which
+    `covariance_and_stream` reuses: (deg, W A W^T, buf).
 
     A is symmetric, so only its upper-triangular block x block tiles
     (I, J), J >= I, are formed, each once and in one reused buffer. Row
@@ -173,12 +173,6 @@ def adjacency_stream(X: DataMatrix, K: KernelSpec, block=1024):
     float64 Gram's, except possibly at a pair whose float64 margin lies
     within float64 rounding of 0. Memory beyond X: O(p^2 + p block + block^2).
     """
-    deg, xaxt, _ = _stream(X, K, block)
-    return deg, xaxt
-
-
-def _stream(X, K, block):
-    """`adjacency_stream`, also returning its tile buffer for reuse."""
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     if block < 1:
@@ -368,7 +362,7 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=1024):
     L = diag(deg) - A, equal to the pair sum
     (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
 
-    deg and W A W^T come from `adjacency_stream`'s row panels; W diag(deg)
+    deg and W A W^T come from the stream's row panels (`_stream`); W diag(deg)
     W^T is formed in the stream's tile buffer, one GEMM per block of output
     rows (`_weighted_gram`): no p x n temporary, and memory beyond X is
     O(p^2 + p block + block^2), one 1024 x 1024 tile at the default block.
@@ -377,8 +371,8 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=1024):
 
 
 def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=1024):
-    """`truncated_covariance` M with the degrees and W A W^T of
-    `adjacency_stream` it is formed from: (M, deg, W A W^T)."""
+    """`truncated_covariance` M with the degrees and W A W^T of the
+    stream (`_stream`) it is formed from: (M, deg, W A W^T)."""
     deg, xaxt, buf = _stream(X, K, block)
     # the row blocks go into the stream's buffer: a separate block (32 MB at
     # 400 x 20000 and block 2048), once freed, stayed in the C heap and
@@ -511,14 +505,15 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     if K.variant == "constant":
         return 1.0
     if K.variant == "indicator" and entry_law == "gaussian":
-        # imported here, so that importing rmtlab loads neither
-        from scipy import integrate
-        from scipy.stats import chi2
+        from scipy import integrate  # here, so that importing rmtlab does not load it
 
         t = K.radius**2 / sigma**2
 
         def f(q):
-            return special.chndtr(t, p, q) ** 2 * chi2.pdf(q, p)
+            # the chi-square(p) density at q, as scipy.stats.chi2.pdf forms it
+            dens = np.exp(special.xlogy(p / 2 - 1, q) - q / 2 - special.gammaln(p / 2)
+                          - np.log(2) * p / 2)
+            return special.chndtr(t, p, q) ** 2 * dens
 
         half_width = 10.0 * np.sqrt(2.0 * p)
         lo, hi = max(0.0, p - half_width), p + half_width
@@ -539,7 +534,7 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     return float(total / mc_samples)
 
 
-def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
+def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, n=None,
                              entry_law="gaussian", mc_samples=10**5, seed=0):
     """Exact mean eigenvalue of M: E tr M / p = ((n-1)/(2 n p)) E[K(X1,X2) d12]
     with d12 = ||X1 - X2||^2.
@@ -547,7 +542,7 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
     For Gaussian entries d12 = 2 sigma^2 Q with Q ~ chi-square(p), which gives
     closed forms for the built-in kernels; other combinations use Monte Carlo.
     """
-    p = K.dimension if p is None else p
+    p = K.dimension
     if n is None or n < 2:
         raise ValueError("expected_mean_eigenvalue needs the sample size n >= 2")
     pref = (n - 1.0) / n
@@ -570,29 +565,16 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, p=None, n=None,
 
 
 # ---------------------------------------------------------------------------
-# Semi-high-dimensional normalisation and reduction diagnostics
+# Reduction diagnostics
 # ---------------------------------------------------------------------------
-
-def normalized_matrix_E(X: DataMatrix, K: KernelSpec, alpha, sigma, block=1024):
-    """E = sqrt(n/p) (M - alpha sigma^2 I), the semi-high-dimensional centering."""
-    if K.dimension != X.p:
-        raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
-    if X.p**2 <= X.n:
-        warnings.warn(
-            f"normalized_matrix_E: p^2 = {X.p**2} <= n = {X.n}; outside the "
-            "semi-high-dimensional regime", stacklevel=2)
-    M = truncated_covariance(X, K, block=block)
-    E = np.sqrt(X.n / X.p) * (M - alpha * sigma**2 * np.eye(X.p))
-    return 0.5 * (E + E.T)
-
 
 def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
     """xi_i = E[K(X_i, V) | X_i] estimated by the row means (1/m) sum_j
     K(X_i, v_j) over m = mc_conditional fresh draws v_j of V.
 
     The X-vs-V kernel matrix is walked in block x block tiles decided as in
-    `adjacency_stream`, so no n x m array is formed: memory beyond X and V
-    is O(p (n + m) + block^2). An indicator tile is counted from its float32
+    `_stream`, so no n x m array is formed: memory beyond X and V is
+    O(p (n + m) + block^2). An indicator tile is counted from its float32
     margins, with the pairs in their rounding band decided again in float64
     (`_IndicatorTiles.count`): no float64 tile is formed, and the exact
     integer row counts give the float64 Gram's means.
@@ -635,6 +617,6 @@ def xi_bar_matrix(X: DataMatrix, xi):
 
 
 def xi_prime(deg, xi):
-    """xi'_i = sum_{j != i} (K(X_i, X_j) - xi_i) = deg_i - (n - 1) xi_i,
-    from the degrees of `adjacency_stream` and the means of `xi_conditional`."""
+    """xi'_i = sum_{j != i} (K(X_i, X_j) - xi_i) = deg_i - (n - 1) xi_i, from
+    the degrees of `covariance_and_stream` and the means of `xi_conditional`."""
     return deg - (len(deg) - 1) * xi

@@ -6,7 +6,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,20 +100,13 @@ class ExperimentConfig:
 
     # -- flat key = value config file ---------------------------------------
 
-    _KEYMAP = {
-        "regime": "regime", "p": "p", "n": "n", "entry_law": "entry_law",
-        "sigma": "sigma", "kernel.variant": "kernel_variant",
-        "kernel.radius": "kernel_radius", "kernel.tau": "kernel_tau",
-        "kernel.beta": "kernel_beta", "kernel.z_alpha": "kernel_z_alpha",
-        "trials": "trials", "master_seed": "master_seed",
-        "histogram.bins": "histogram_bins", "stieltjes.x_lo": "stieltjes_x_lo",
-        "stieltjes.x_hi": "stieltjes_x_hi", "stieltjes.points": "stieltjes_points",
-        "output_dir": "output_dir",
-    }
-
     @classmethod
     def from_file(cls, path):
-        fields = {}
+        """Read a config file; a value is parsed by its field's type (str,
+        int, else float) and the config is validated."""
+        types = {f.name: f.type for f in fields(cls)}
+        names = {_file_key(name): name for name in types}
+        values = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -121,13 +114,13 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in cls._KEYMAP:
+            if key not in names:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            fields[cls._KEYMAP[key]] = value
-        return cls(**{k: _parse_value(k, v) for k, v in fields.items()}).validate()
+            values[names[key]] = value
+        return cls(**{k: types[k](v) if types[k] in (str, int) else float(v)
+                      for k, v in values.items()}).validate()
 
     def to_file(self, path):
-        inv = {v: k for k, v in self._KEYMAP.items()}
         lines = []
         for field_name, value in asdict(self).items():
             if value is None:
@@ -137,21 +130,18 @@ class ExperimentConfig:
             # strip its leading and trailing blanks
             if ("#" in text or "".join(text.splitlines()) != text
                     or text.strip() != text):
-                raise ValueError(f"{inv[field_name]} = {text!r}: a config value "
+                raise ValueError(f"{_file_key(field_name)} = {text!r}: a config value "
                                  "cannot hold '#', a line break or edge blanks")
-            lines.append(f"{inv[field_name]} = {text}")
+            lines.append(f"{_file_key(field_name)} = {text}")
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_value(field_name, text):
-    if field_name in ("regime", "entry_law", "kernel_variant", "output_dir"):
-        return text
-    if field_name in ("p", "n", "trials", "master_seed", "histogram_bins",
-                      "stieltjes_points"):
-        return int(text)
-    if text == "inf":
-        return math.inf
-    return float(text)
+def _file_key(field_name):
+    """A field's config file key: kernel_tau is kernel.tau, and likewise in
+    the histogram and stieltjes sections; any other name is its own key."""
+    section, _, rest = field_name.partition("_")
+    return f"{section}.{rest}" if section in ("kernel", "histogram", "stieltjes") \
+        else field_name
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +220,10 @@ def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
     X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
                                     config.sigma, seed)
     if config.regime == "semi_high_dim":
+        # the semi-high-dimensional centering E = sqrt(n/p) (M - alpha sigma^2 I)
         return spectra.symmetric_eigenvalues(
-            ensemble.normalized_matrix_E(X, K, alpha, config.sigma))
+            np.sqrt(config.n / config.p) * (ensemble.truncated_covariance(X, K)
+                                            - alpha * config.sigma**2 * np.eye(config.p)))
     lam = spectra.symmetric_eigenvalues(ensemble.truncated_covariance(X, K))
     # M is PSD with rank <= n - 1: snap its round-off zeros (p > n) onto the
     # law's atom at 0; eigenvalues further below 0 stay visible
@@ -265,11 +257,8 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
     else:
         eigs = [_trial_eigenvalues(config, K, alpha, t) for t in indices]
 
-    trial_specs = [spectra.esd(e, meta={"trial": t}) for t, e in zip(indices, eigs)]
-    pooled = spectra.esd(np.concatenate(eigs),
-                         meta={"p": config.p, "n": config.n,
-                               "kernel": config.kernel_variant,
-                               "master_seed": config.master_seed})
+    trial_specs = [spectra.esd(e) for e in eigs]
+    pooled = spectra.esd(np.concatenate(eigs))
 
     per_trial_ks = [spectra.ks_distance(s, law.cdf) for s in trial_specs] \
         if law is not None else []
@@ -298,7 +287,7 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
         # at desk sizes the spectrum carries a mean offset of order sqrt(n)/p,
         # from the exact trace of M: score the law shifted by it as well
         mean_eig = ensemble.expected_mean_eigenvalue(
-            K, config.sigma, p=config.p, n=config.n, entry_law=config.entry_law)
+            K, config.sigma, n=config.n, entry_law=config.entry_law)
         shift = math.sqrt(config.n / config.p) \
             * (mean_eig - law_params["alpha_p"] * config.sigma**2)
         report["predicted_mean_shift"] = shift

@@ -1,7 +1,7 @@
 # Eigenvalues, empirical spectral distributions, and distances between
 # spectra and limiting laws.
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class EmpiricalSpectrum:
     """Sorted eigenvalues and the induced step CDF."""
 
     eigenvalues: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -42,12 +41,12 @@ class EmpiricalSpectrum:
         return idx / self.dim
 
 
-def esd(eigenvalues, meta=None) -> EmpiricalSpectrum:
+def esd(eigenvalues) -> EmpiricalSpectrum:
     """Empirical spectral distribution of an eigenvalue list."""
     vals = np.sort(np.asarray(eigenvalues, dtype=float).ravel())
     if vals.size == 0:
         raise ValueError("esd needs at least one eigenvalue")
-    return EmpiricalSpectrum(eigenvalues=vals, meta=dict(meta or {}))
+    return EmpiricalSpectrum(eigenvalues=vals)
 
 
 def ks_distance(spec: EmpiricalSpectrum, law_cdf):

@@ -8,7 +8,7 @@ from oracle import kernel_matrix, pairwise_sqdist, truncated_covariance_direct
 from rmtlab.ensemble import (
     KernelSpec,
     _kernel_moment_mc,
-    adjacency_stream,
+    covariance_and_stream,
     sample_data_matrix,
     truncated_covariance,
 )
@@ -69,7 +69,7 @@ def test_derive_seed_reproducible_and_distinct():
 
 def test_constant_kernel_graph_n3():
     X = sample_data_matrix(4, 3, seed=0)
-    deg, xaxt = adjacency_stream(X, KernelSpec(variant="constant", dimension=4))
+    deg, xaxt = covariance_and_stream(X, KernelSpec(variant="constant", dimension=4))[1:]
     W = X.entries
     assert np.array_equal(deg, np.full(3, 2.0))
     assert np.allclose(xaxt, W @ (np.ones((3, 3)) - np.eye(3)) @ W.T)
@@ -78,7 +78,7 @@ def test_constant_kernel_graph_n3():
 def test_zero_radius_gives_empty_graph():
     X = sample_data_matrix(5, 6, seed=1)
     K = KernelSpec(variant="indicator", dimension=5, radius=0.0)
-    deg, xaxt = adjacency_stream(X, K)
+    deg, xaxt = covariance_and_stream(X, K)[1:]
     assert not deg.any()
     assert not xaxt.any()
     assert not truncated_covariance(X, K).any()
@@ -87,7 +87,7 @@ def test_zero_radius_gives_empty_graph():
 def test_laplacian_identities():
     X = sample_data_matrix(6, 4, seed=2)
     K = KernelSpec(variant="gaussian", dimension=6, tau=1.0)
-    deg, _ = adjacency_stream(X, K)
+    deg, _ = covariance_and_stream(X, K)[1:]
     A = kernel_matrix(K, X.entries)
     np.fill_diagonal(A, 0.0)
     assert np.allclose(deg, A.sum(axis=1), rtol=1e-12, atol=1e-14)
@@ -99,7 +99,7 @@ def test_graph_dimension_mismatch():
     X = sample_data_matrix(5, 6, seed=1)
     K = KernelSpec(variant="constant", dimension=4)
     with pytest.raises(ValueError):
-        adjacency_stream(X, K)
+        covariance_and_stream(X, K)
     with pytest.raises(ValueError):
         truncated_covariance(X, K)
 
@@ -210,7 +210,7 @@ def test_stream_over_many_row_chunks_equals_pair_sum(variant):
         M2 = truncated_covariance(X, K, block=block)
         assert np.linalg.norm(M1 - M2) <= 1e-10 * np.linalg.norm(M1)
         if variant == "indicator":
-            deg, _ = adjacency_stream(X, K, block=block)
+            deg, _ = covariance_and_stream(X, K, block=block)[1:]
             assert np.array_equal(deg, A.sum(axis=1))
 
 
@@ -223,7 +223,7 @@ def test_stream_checks_custom_profile_in_every_chunk(block):
     K = KernelSpec(variant="custom", dimension=40,
                    profile=lambda sq: np.where(sq > top, 1.5, 0.5))
     with pytest.raises(ValueError, match="left"):
-        adjacency_stream(X, K, block=block)
+        covariance_and_stream(X, K, block=block)
 
 
 @pytest.mark.parametrize("variant", sorted(KERNELS))
@@ -233,7 +233,7 @@ def test_stream_xaxt_is_exactly_symmetric(variant, block):
     # block at 1024 and 64, three equal ones at 700
     X = sample_data_matrix(20, 2100, seed=5)
     K = KernelSpec(variant=variant, dimension=20, **KERNELS[variant])
-    _, xaxt = adjacency_stream(X, K, block=block)
+    _, xaxt = covariance_and_stream(X, K, block=block)[1:]
     assert np.array_equal(xaxt, xaxt.T)
 
 
@@ -242,7 +242,7 @@ def test_stream_rejects_block_below_one(block):
     X = sample_data_matrix(5, 6, seed=1)
     K = KernelSpec(variant="constant", dimension=5)
     with pytest.raises(ValueError, match="block"):
-        adjacency_stream(X, K, block=block)
+        covariance_and_stream(X, K, block=block)
     with pytest.raises(ValueError, match="block"):
         truncated_covariance(X, K, block=block)
 
@@ -284,7 +284,7 @@ def test_indicator_stream_is_exact_on_integer_data(block):
     p, n = W.shape
     X = R.DataMatrix(W.astype(float), p, n, "integer", 1.0, 0)
     K = KernelSpec(variant="indicator", dimension=p, radius=radius)
-    got_deg, got_xaxt = adjacency_stream(X, K, block=block)
+    got_deg, got_xaxt = covariance_and_stream(X, K, block=block)[1:]
     assert np.array_equal(got_deg, deg)
     assert np.array_equal(got_xaxt, xaxt)
 
@@ -296,7 +296,7 @@ def test_indicator_degrees_do_not_move_under_power_of_two_scaling(k):
     p, n = W.shape
     X = R.DataMatrix(np.ldexp(W.astype(float), k), p, n, "integer", 1.0, 0)
     K = KernelSpec(variant="indicator", dimension=p, radius=np.ldexp(radius, k))
-    assert np.array_equal(adjacency_stream(X, K, block=700)[0], deg)
+    assert np.array_equal(covariance_and_stream(X, K, block=700)[1], deg)
 
 
 def _exact_indicator_means(W, V, radius):
@@ -627,32 +627,20 @@ def test_monte_carlo_moments_are_pinned(entry_law, p, mc_samples):
 
 
 # ---------------------------------------------------------------------------
-# normalized matrix E and reduction diagnostics
+# semi-high-dimensional centering and reduction diagnostics
 # ---------------------------------------------------------------------------
 
 def test_normalized_E_constant_kernel_formula():
-    X = sample_data_matrix(20, 50, seed=16)
-    K = KernelSpec(variant="constant", dimension=20)
-    E = R.normalized_matrix_E(X, K, alpha=1.0, sigma=1.0)
-    W = X.entries
+    # the constant kernel's M is the centered sample covariance S, so the
+    # semi_high_dim spectrum is that of E = sqrt(n/p) (S - I)
+    from rmtlab.harness import ExperimentConfig, run_experiment
+    cfg = ExperimentConfig(regime="semi_high_dim", p=20, n=50, trials=1,
+                           master_seed=16, kernel_variant="constant")
+    lam = run_experiment(cfg, write_artifacts=False)["pooled_spectrum"].eigenvalues
+    W = sample_data_matrix(20, 50, seed=R.derive_seed(16, 0)).entries
     centered = W - W.mean(axis=1, keepdims=True)
     ref = np.sqrt(50 / 20) * (centered @ centered.T / 50 - np.eye(20))
-    assert np.allclose(E, ref, rtol=1e-10, atol=1e-12)
-
-
-def test_normalized_E_zero_when_M_equals_center():
-    # with radius 0 the graph is empty, M = 0, so alpha = 0 recenters to zero
-    X = sample_data_matrix(10, 30, seed=17)
-    K = KernelSpec(variant="indicator", dimension=10, radius=0.0)
-    E = R.normalized_matrix_E(X, K, alpha=0.0, sigma=1.0)
-    assert not E.any()
-
-
-def test_normalized_E_warns_outside_regime():
-    X = sample_data_matrix(5, 50, seed=16)
-    K = KernelSpec(variant="constant", dimension=5)
-    with pytest.warns(UserWarning):
-        R.normalized_matrix_E(X, K, alpha=1.0, sigma=1.0)
+    assert np.allclose(lam, np.linalg.eigvalsh(ref), rtol=1e-10, atol=1e-12)
 
 
 def test_xi_conditional_constant_kernel():
@@ -662,7 +650,7 @@ def test_xi_conditional_constant_kernel():
     assert np.array_equal(xi, np.ones(12))
     Mbar = R.xi_bar_matrix(X, xi)
     assert np.allclose(Mbar, X.entries @ X.entries.T / 12)
-    deg, _ = R.adjacency_stream(X, K)
+    deg, _ = R.covariance_and_stream(X, K)[1:]
     assert np.allclose(R.xi_prime(deg, xi), 0.0, atol=1e-12)
 
 
@@ -705,7 +693,7 @@ def test_xi_prime_scaling_in_n():
     maxima = []
     for n in (200, 800, 3200):
         X = sample_data_matrix(p, n, seed=20)
-        deg, _ = R.adjacency_stream(X, K)
+        deg, _ = R.covariance_and_stream(X, K)[1:]
         xp = R.xi_prime(deg, R.xi_conditional(X, K, mc_conditional=4000, seed=20))
         maxima.append(np.max(np.abs(xp)) / n)
     # decreases roughly like sqrt(log n / n)

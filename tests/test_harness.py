@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -69,6 +70,34 @@ def test_config_file_round_trip(tmp_path):
     for bad in ("runs/#3", "runs/a\nb", "runs/a ", " runs/a", "runs/a\t"):
         with pytest.raises(ValueError, match="cannot hold"):
             ExperimentConfig(output_dir=bad).to_file(tmp_path / "bad.cfg")
+
+
+# together these set every field of ExperimentConfig to a value other than
+# its default, including an infinite float
+SCHEMA_CONFIGS = [
+    dict(regime="semi_high_dim", p=120, n=300, entry_law="rademacher", sigma=1.5,
+         kernel_variant="gaussian", kernel_tau=0.7, trials=3, master_seed=9,
+         histogram_bins=33, stieltjes_x_lo=-0.25, stieltjes_x_hi=3.5,
+         stieltjes_points=150),
+    dict(kernel_variant="indicator", kernel_radius=19.5),
+    dict(kernel_variant="indicator", kernel_beta=math.inf),
+    dict(kernel_variant="indicator", kernel_z_alpha=-0.5),
+]
+
+
+def test_config_file_schema_is_the_readme_key_list(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("recognized keys include", 1)[1].split("The genMP", 1)[0]
+    readme_keys = set(listed.split("`")[1::2])
+    assert len(readme_keys) == len(dataclasses.fields(ExperimentConfig)) == 17
+    written = set()
+    for i, kw in enumerate(SCHEMA_CONFIGS):
+        cfg = _cfg(tmp_path, **kw)
+        path = tmp_path / f"{i}.cfg"
+        cfg.to_file(path)
+        assert ExperimentConfig.from_file(path) == cfg
+        written |= {line.split(" = ")[0] for line in path.read_text().splitlines()}
+    assert written == readme_keys
 
 
 def test_config_file_parsing_details(tmp_path):
@@ -226,6 +255,28 @@ def test_semi_high_dim_multi_tile_thread_invariant(tmp_path):
                 json.dumps(report, sort_keys=True))
 
     assert snapshot(1) == snapshot(2)
+
+
+def test_same_seed_and_blas_threads_give_the_same_bytes(tmp_path):
+    # the determinism contract: the same seed, BLAS build and BLAS thread
+    # count give the same bytes, here from two processes on one BLAS thread
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    runs = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "exp.cfg").write_text(
+            "p = 100\nn = 250\ntrials = 4\nmaster_seed = 3\nkernel.variant = indicator\n"
+            "kernel.z_alpha = 0.0\noutput_dir = run\n")
+        subprocess.run([sys.executable, "-m", "rmtlab.cli", "simulate", "--config",
+                        "exp.cfg"], cwd=tmp_path / side, env=env, check=True,
+                       capture_output=True)
+        out = tmp_path / side / "run"
+        report = json.loads((out / "report.json").read_text())
+        report.pop("runtime_seconds")
+        runs.append(((out / "histogram.csv").read_bytes(),
+                     (out / "law.csv").read_bytes(), report))
+    assert runs[0] == runs[1]
 
 
 def test_run_experiment_check_breach_flag(tmp_path, monkeypatch):
@@ -581,6 +632,19 @@ def test_importing_the_cli_loads_neither_scipy_stats_nor_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_semi_high_dim_run_does_not_load_scipy_stats():
+    # the indicator's pair moment evaluates the chi-square density itself
+    code = ("import sys; from rmtlab import harness; harness.run_experiment("
+            "harness.ExperimentConfig(regime='semi_high_dim', p=20, n=100, trials=1, "
+            "kernel_variant='indicator', kernel_z_alpha=0.0), write_artifacts=False); "
+            "print('scipy.stats' in sys.modules)")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_parser_requires_command():

@@ -6,7 +6,7 @@ import pytest
 from oracle import kernel_matrix, truncated_covariance_direct
 from rmtlab.ensemble import (
     KernelSpec,
-    adjacency_stream,
+    covariance_and_stream,
     indicator_radius_from_z_alpha,
     sample_data_matrix,
     truncated_covariance,
@@ -52,7 +52,7 @@ def test_tiled_stream_equals_pair_sum(case):
     if K.variant == "indicator":
         A = kernel_matrix(K, X.entries)
         np.fill_diagonal(A, 0.0)
-        deg, _ = adjacency_stream(X, K, block=block)
+        deg, _ = covariance_and_stream(X, K, block=block)[1:]
         assert np.array_equal(deg, A.sum(axis=1))
 
 
