@@ -2,6 +2,13 @@
 # kernel adjacency degrees, and the truncated covariance matrices whose
 # spectra the rest of the library analyses.
 
+import collections
+import contextlib
+import functools
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,53 +156,168 @@ def indicator_radius_from_z_alpha(z_alpha, sigma, p):
 _CHUNK_BYTES = 256 * 1024
 
 # indicator pairs decided again in float64 per gather of their columns; the
-# two p x 1024 gathers are no larger than the float32 operands of a tile
+# two p x 1024 gathers are no larger than the float32 operands of a
+# 1024-wide tile (a 512-wide tile holds about 100 such pairs at 400 x 20000)
 _REDECIDE_BATCH = 1024
 
 _U32 = 2.0**-24  # unit roundoff of float32
 
+BLOCK = 1024  # the default, and largest, tile side of the stream
 
-def _stream(X: DataMatrix, K: KernelSpec, block):
+# OpenBLAS thread count pinned by `_one_blas_thread`: the callers inside, and
+# the count on the first one's entry, restored when the last one leaves. It
+# is module state because OpenBLAS has one thread count per process
+_PIN = threading.Lock()
+_pinned = {"callers": 0, "threads": 1}
+
+
+@functools.cache
+def _openblas_threads():
+    """The getter and setter of the thread count of the OpenBLAS that numpy
+    loaded (a scipy-openblas build), or None for any other BLAS."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread while any caller, on any thread, is inside: the
+    first caller in saves the thread count and sets it to 1, the last one out
+    restores it, on error too. Gives the saved count, the number of workers a
+    stream runs; without OpenBLAS's setter, 1 and nothing pinned."""
+    blas = _openblas_threads()
+    with _PIN:
+        if blas and not _pinned["callers"]:
+            _pinned["threads"] = blas[0]()
+            blas[1](1)
+        _pinned["callers"] += 1
+        threads = _pinned["threads"]
+    try:
+        yield threads
+    finally:
+        with _PIN:
+            _pinned["callers"] -= 1
+            if blas and not _pinned["callers"]:
+                blas[1](_pinned["threads"])
+
+
+def _in_order(pool, threads, fn, make, items):
+    """fn(state, item) for each of the items on the pool's threads, yielded
+    in item order, with at most threads + 1 items submitted ahead of the one
+    yielded. Each task borrows one of up to `threads` states, all made by
+    make() on the calling thread first: made on the workers, their buffers
+    left the peak RSS of a 400 x 20000 stream 1-7 MB higher, and varying."""
+    states = queue.SimpleQueue()
+    for _ in range(min(threads, len(items))):
+        states.put(make())
+
+    def task(item):
+        state = states.get()
+        try:
+            return fn(state, item)
+        finally:
+            states.put(state)
+
+    pending = collections.deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(task, item))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _stream(X: DataMatrix, K: KernelSpec, block, workers=None):
     """Degrees deg = A 1 and W A W^T of the adjacency A_ij = K(X_i, X_j)
-    (zero diagonal) without materialising A, and the tile buffer, which
-    `covariance_and_stream` reuses: (deg, W A W^T, buf).
+    (zero diagonal) without materialising A, and the tile buffer of a
+    one-tile stream, which `covariance_and_stream` reuses: (deg, W A W^T,
+    buf).
 
-    A is symmetric, so only its upper-triangular block x block tiles
-    (I, J), J >= I, are formed, each once and in one reused buffer. Row
-    block I sums its tiles into one block x p panel V_I = A_II W_I^T / 2 +
-    sum_{J > I} A_IJ W_J^T, and W A W^T = S + S^T, S = sum_I W_I V_I: one
-    p x p GEMM per row block, not per tile, and exactly symmetric. A smooth
-    kernel's tile is its float64 Gram block turned into kernel values a
-    cache-sized chunk of rows at a time. An indicator tile is one float32
-    GEMM of the margins |x_i - x_j|^2 - r^2, each pair decided by the sign
-    of its margin except the pairs within the GEMM's rounding bound of 0,
-    which are decided again in float64 (`_IndicatorTiles`). A is then the
-    float64 Gram's, except possibly at a pair whose float64 margin lies
-    within float64 rounding of 0. Memory beyond X: O(p^2 + p block + block^2).
+    A is symmetric, so only its upper-triangular tiles (I, J), J >= I, are
+    formed, each once. Row block I sums its tiles into one panel V_I =
+    A_II W_I^T / 2 + sum_{J > I} A_IJ W_J^T, and W A W^T = S + S^T, S =
+    sum_I W_I V_I: one p x p GEMM per row block, not per tile, and exactly
+    symmetric. A smooth kernel's tile is its float64 Gram block turned into
+    kernel values a cache-sized chunk of rows at a time. An indicator tile is
+    one float32 GEMM of the margins |x_i - x_j|^2 - r^2, each pair decided by
+    the sign of its margin except the pairs within the GEMM's rounding bound
+    of 0, which are decided again in float64 (`_IndicatorTiles`). A is then
+    the float64 Gram's, except possibly at a pair whose float64 margin lies
+    within float64 rounding of 0.
+
+    Without `workers` (n <= block), the one n x n tile is formed on the
+    caller's thread and BLAS threads. With them, the tiles are ceil(block /
+    2) wide and each row block is one task on the workers, which returns its
+    degree contributions and W_I V_I; these are added into deg and S in
+    row-block order, and BLAS runs on one thread, so every bit is the same
+    for any number of workers or BLAS threads. Each task borrows one of the
+    workers' sets of tile, operands and panels (`_Tiles`). Memory beyond X:
+    O(p^2 + p block + block^2), per worker on the workers' walk.
     """
-    if K.dimension != X.p:
-        raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    W, p, n = X.entries, X.p, X.n
+    W, n = X.entries, X.n
     sqn = np.einsum("ij,ij->j", W, W)
-    deg = np.zeros(n)
-    # panels and S below the tile buffer in the heap: above it, the freed
-    # panel left a hole that raised the diagnostics' peak RSS by 1-3 MB
-    panel = np.empty((min(block, n), p))
-    tmp = np.empty_like(panel) if n > block else None  # only rows of 2+ tiles
-    S = np.zeros((p, p))
-    indicator = (_IndicatorTiles(W, W, sqn, sqn, K.radius**2, block)
-                 if K.variant == "indicator" else None)
-    buf = indicator.buf if indicator else np.empty(min(block, n) ** 2)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        V = panel[:hi - lo]
-        for lo2 in range(lo, n, block):
-            hi2 = min(lo2 + block, n)
-            A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
-            if indicator:
-                indicator.fill(A, deg, lo, hi, lo2, hi2)
+    if workers is None:
+        tiles = _Tiles(W, K, sqn, block)
+        deg, S = tiles.row_block(0)
+        return deg, np.add(S, S.T, out=S), tiles.buf
+    side = -(-block // 2)
+    # on the workers: _Tiles calls no public function, whose tracer spans
+    # would share one stack across threads
+    blocks = workers(_Tiles.row_block, lambda: _Tiles(W, K, sqn, side),
+                     range(0, n, side))
+    deg, S = next(blocks)
+    for d, P in blocks:
+        deg += d
+        S += P
+    return deg, np.add(S, S.T, out=S), None
+
+
+class _Tiles:
+    """A set of buffers for the stream's row blocks of `side` rows, used by
+    one row block at a time: the side x side tile buffer (with the
+    indicator's float32 operands), the panel V_I and, when a row holds more
+    than one tile, a second side x p buffer that takes each tile's product
+    before it is added to V_I."""
+
+    def __init__(self, W, K, sqn, side):
+        p, n = W.shape
+        self.W, self.K, self.sqn, self.side = W, K, sqn, side
+        # the panels below the tile buffer in the heap: above it, the freed
+        # panel left a hole that raised the diagnostics' peak RSS by 1-3 MB
+        self.panel = np.empty((min(side, n), p))
+        self.tmp = np.empty_like(self.panel) if n > side else None
+        self.indicator = (_IndicatorTiles(W, W, sqn, sqn, K.radius**2, side)
+                          if K.variant == "indicator" else None)
+        self.buf = (self.indicator.buf if self.indicator
+                    else np.empty(min(side, n) ** 2))
+
+    def row_block(self, lo):
+        """Row block I from column lo: the degrees its tiles add to each of
+        the n columns, and W_I V_I."""
+        W, K, sqn, side, n = self.W, self.K, self.sqn, self.side, len(self.sqn)
+        hi = min(lo + side, n)
+        deg = np.zeros(n)
+        V = self.panel[:hi - lo]
+        for lo2 in range(lo, n, side):
+            hi2 = min(lo2 + side, n)
+            A = self.buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
+            if self.indicator:
+                self.indicator.fill(A, deg, lo, hi, lo2, hi2)
             else:
                 _kernel_tile(K, A, W[:, lo:hi], W[:, lo2:hi2], sqn[lo:hi], sqn[lo2:hi2])
                 if lo2 == lo:
@@ -208,10 +330,9 @@ def _stream(X: DataMatrix, K: KernelSpec, block):
                 np.matmul(A, W[:, lo:hi].T, out=V)
                 V *= 0.5  # exact: (A_II / 2) W_I^T
             else:
-                np.matmul(A, W[:, lo2:hi2].T, out=tmp[:hi - lo])
-                V += tmp[:hi - lo]
-        S += W[:, lo:hi] @ V
-    return deg, np.add(S, S.T, out=S), buf
+                np.matmul(A, W[:, lo2:hi2].T, out=self.tmp[:hi - lo])
+                V += self.tmp[:hi - lo]
+        return deg, W[:, lo:hi] @ V
 
 
 def _kernel_tile(K, A, Wi, Vj, sqn_i, sqn_j):
@@ -357,27 +478,43 @@ class _IndicatorTiles:
             yield t, i, j, -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
 
 
-def truncated_covariance(X: DataMatrix, K: KernelSpec, block=1024):
+def truncated_covariance(X: DataMatrix, K: KernelSpec, block=BLOCK):
     """M = X L X^T / n^2 = (W diag(deg) W^T - W A W^T) / n^2 with
     L = diag(deg) - A, equal to the pair sum
     (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
 
     deg and W A W^T come from the stream's row panels (`_stream`); W diag(deg)
-    W^T is formed in the stream's tile buffer, one GEMM per block of output
-    rows (`_weighted_gram`): no p x n temporary, and memory beyond X is
-    O(p^2 + p block + block^2), one 1024 x 1024 tile at the default block.
+    W^T is formed one GEMM per block of output rows (`_weighted_gram`), in
+    the tile buffer of a one-tile stream: no p x n temporary. Memory beyond X
+    is O(p^2 + p block + block^2): one 1024 x 1024 tile at the default block
+    for n <= block; above it, per worker, one 512 x 512 tile and its panels
+    during the stream, then one block of output rows.
     """
     return covariance_and_stream(X, K, block)[0]
 
 
-def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=1024):
+def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=BLOCK):
     """`truncated_covariance` M with the degrees and W A W^T of the
-    stream (`_stream`) it is formed from: (M, deg, W A W^T)."""
-    deg, xaxt, buf = _stream(X, K, block)
-    # the row blocks go into the stream's buffer: a separate block (32 MB at
-    # 400 x 20000 and block 2048), once freed, stayed in the C heap and
-    # raised the next trial's peak by as much
-    M = _weighted_gram(X.entries, deg, block, buf)
+    stream (`_stream`) it is formed from: (M, deg, W A W^T). For n > block
+    both run on worker threads, with BLAS on one thread (`_in_order`,
+    `_one_blas_thread`)."""
+    if K.dimension != X.p:
+        raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    if X.n <= block:
+        deg, xaxt, buf = _stream(X, K, block)
+        # the row blocks go into the stream's buffer: a separate block (32 MB
+        # at 400 x 20000 and block 2048), once freed, stayed in the C heap and
+        # raised the next trial's peak by as much
+        M = _weighted_gram(X.entries, deg, block, buf)
+    else:
+        # as many workers as OpenBLAS has threads, with OpenBLAS pinned to
+        # one thread until the workers have stopped
+        with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as pool:
+            workers = functools.partial(_in_order, pool, threads)
+            deg, xaxt, _ = _stream(X, K, block, workers)
+            M = _weighted_gram(X.entries, deg, block, workers=workers)
     M -= xaxt
     M /= X.n**2
     return 0.5 * (M + M.T), deg, xaxt
@@ -392,9 +529,11 @@ def _row_blocks(p, n, block):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _weighted_gram(W, v, block=2048, buf=None):
+def _weighted_gram(W, v, block=2048, buf=None, workers=None):
     """W diag(v) W^T, one GEMM (W[rows] * v) W^T per block of output rows,
-    each product W[rows] * v in `buf` where it fits.
+    each product W[rows] * v in `buf` where it fits. With `workers`, each
+    block is one task that writes its own rows of the result, its product in
+    one of the workers' buffers.
 
     A blocked BLAS GEMM sums each output entry over the inner dimension in
     an order that does not depend on how many rows it is asked for (Goto
@@ -404,11 +543,22 @@ def _weighted_gram(W, v, block=2048, buf=None):
     """
     p, n = W.shape
     out = np.empty((p, p))
-    for r, s in _row_blocks(p, n, block):
-        fits = buf is not None and buf.size >= (s - r) * n
-        Wv = buf[:(s - r) * n].reshape(s - r, n) if fits else np.empty((s - r, n))
+    blocks = _row_blocks(p, n, block)
+
+    def rows(room, edges):  # on a worker: calls no public function
+        r, s = edges
+        fits = room is not None and room.size >= (s - r) * n
+        Wv = room[:(s - r) * n].reshape(s - r, n) if fits else np.empty((s - r, n))
         np.multiply(W[r:s], v, out=Wv)
         np.matmul(Wv, W.T, out=out[r:s])
+
+    if workers:
+        height = max(s - r for r, s in blocks)
+        for _ in workers(rows, lambda: np.empty(height * n), blocks):
+            pass
+    else:
+        for edges in blocks:
+            rows(buf, edges)
     return out
 
 

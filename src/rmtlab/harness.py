@@ -2,6 +2,7 @@
 # comparison of pooled spectra with the predicted limiting laws, and flat-file
 # artifacts (histogram CSV, law CSV, report JSON).
 
+import contextlib
 import json
 import math
 import time
@@ -103,10 +104,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path):
         """Read a config file; a value is parsed by its field's type (str,
-        int, else float) and the config is validated."""
+        int, else float) and the config is validated. A key given twice is
+        an error, not the last one winning."""
         types = {f.name: f.type for f in fields(cls)}
         names = {_file_key(name): name for name in types}
-        values = {}
+        values, seen = {}, {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -116,6 +118,10 @@ class ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in names:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line "
+                                 f"{seen[key]}")
+            seen[key] = lineno
             values[names[key]] = value
         return cls(**{k: types[k](v) if types[k] in (str, int) else float(v)
                       for k, v in values.items()}).validate()
@@ -216,15 +222,21 @@ def select_prediction(config: ExperimentConfig, kernel=None):
 # ---------------------------------------------------------------------------
 
 def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
-    seed = ensemble.derive_seed(config.master_seed, t)
-    X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
-                                    config.sigma, seed)
-    if config.regime == "semi_high_dim":
-        # the semi-high-dimensional centering E = sqrt(n/p) (M - alpha sigma^2 I)
-        return spectra.symmetric_eigenvalues(
-            np.sqrt(config.n / config.p) * (ensemble.truncated_covariance(X, K)
-                                            - alpha * config.sigma**2 * np.eye(config.p)))
-    lam = spectra.symmetric_eigenvalues(ensemble.truncated_covariance(X, K))
+    # a stream of more than one tile pins BLAS to one thread, for every
+    # thread of the process, while it runs; the trial runs whole inside the
+    # pin, so that its eigensolve does not run on one BLAS thread or on all
+    # of them by whether another trial thread is inside its stream
+    with (ensemble._one_blas_thread() if config.n > ensemble.BLOCK
+          else contextlib.nullcontext()):
+        seed = ensemble.derive_seed(config.master_seed, t)
+        X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
+                                        config.sigma, seed)
+        if config.regime == "semi_high_dim":
+            # the semi-high-dimensional centering E = sqrt(n/p) (M - alpha sigma^2 I)
+            return spectra.symmetric_eigenvalues(
+                np.sqrt(config.n / config.p) * (ensemble.truncated_covariance(X, K)
+                                                - alpha * config.sigma**2 * np.eye(config.p)))
+        lam = spectra.symmetric_eigenvalues(ensemble.truncated_covariance(X, K))
     # M is PSD with rank <= n - 1: snap its round-off zeros (p > n) onto the
     # law's atom at 0; eigenvalues further below 0 stay visible
     lam[np.abs(lam) <= config.p * np.finfo(float).eps * np.abs(lam).max()] = 0.0

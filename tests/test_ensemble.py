@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,9 +189,9 @@ KERNELS = {
 
 @pytest.mark.parametrize("variant", sorted(KERNELS))
 @pytest.mark.parametrize("n,block", [
-    (100, 2048),  # one block
-    (100, 25),    # blocks that divide n
-    (100, 64),    # a ragged last block
+    (100, 2048),  # one tile
+    (100, 25),    # 13-wide tiles on the workers, a 9-wide last one
+    (100, 64),    # 32-wide tiles, a 4-wide last one
     (1, 2048),
 ])
 def test_streamed_equals_pair_sum(variant, n, block):
@@ -198,9 +204,9 @@ def test_streamed_equals_pair_sum(variant, n, block):
 
 @pytest.mark.parametrize("variant", ["custom", "gaussian", "indicator"])
 def test_stream_over_many_row_chunks_equals_pair_sum(variant):
-    # n = 2100 walks each tile in many row chunks: with block 2048 a 2048-wide
-    # tile and a 52-wide ragged one, with block 700 three 700-wide tiles per
-    # row whose chunks do not divide 700
+    # n = 2100 walks each tile in many row chunks: with block 2048 two
+    # 1024-wide tiles and a 52-wide ragged one per row, with block 700 six
+    # 350-wide tiles whose chunks do not divide 350
     X = sample_data_matrix(40, 2100, seed=21)
     K = KernelSpec(variant=variant, dimension=40, **KERNELS[variant])
     M1 = truncated_covariance_direct(X, K)
@@ -230,7 +236,7 @@ def test_stream_checks_custom_profile_in_every_chunk(block):
 @pytest.mark.parametrize("block", [1024, 700, 64])
 def test_stream_xaxt_is_exactly_symmetric(variant, block):
     # W A W^T = S + S^T from the row panels; n = 2100 gives a ragged last
-    # block at 1024 and 64, three equal ones at 700
+    # tile at 1024 and 64 (512 and 32 wide), six equal ones at 700
     X = sample_data_matrix(20, 2100, seed=5)
     K = KernelSpec(variant=variant, dimension=20, **KERNELS[variant])
     _, xaxt = covariance_and_stream(X, K, block=block)[1:]
@@ -378,8 +384,9 @@ def test_stream_memory_stays_below_one_column_block():
 
 
 def test_default_stream_memory_is_one_1024_tile():
-    # at the default block the stream holds one 1024 x 1024 float64 tile
-    # (8.4 MB), the float32 operands and two 1024 x p panels
+    # the bound is one 1024 x 1024 float64 tile (8.4 MB), its float32
+    # operands and two 1024 x p panels; n > 1024, so each of the workers
+    # holds a 512 x 512 tile, its operands and two 512 x p panels instead
     X = sample_data_matrix(100, 5000, seed=1)
     K = KernelSpec(variant="indicator", dimension=100,
                    radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 100))
@@ -390,6 +397,92 @@ def test_default_stream_memory_is_one_1024_tile():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+_HASH_STREAMS = """
+import hashlib, json
+from rmtlab import ensemble as R, harness
+digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+X = R.sample_data_matrix(60, 2500, seed=3)
+kernels = (R.KernelSpec(variant="indicator", dimension=60,
+                        radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 60)),
+           R.KernelSpec(variant="gaussian", dimension=60, tau=1.0))
+out = {K.variant: [digest(a) for a in R.covariance_and_stream(X, K)] for K in kernels}
+cfg = harness.ExperimentConfig(regime="semi_high_dim", p=60, n=2500, trials=2,
+                               kernel_variant="indicator", kernel_z_alpha=0.0)
+report = harness.run_experiment(cfg, write_artifacts=False)
+out["run"] = digest(report["pooled_spectrum"].eigenvalues)
+print(json.dumps(out))
+"""
+
+
+def test_multi_tile_stream_is_the_same_at_any_blas_thread_count():
+    # n > block: the row blocks run on as many workers as BLAS had threads,
+    # with BLAS on one thread and the sums taken in row-block order, so M,
+    # deg and W A W^T hash alike under 1 and 2 BLAS threads; a trial runs
+    # its eigensolve under the same pin, so its eigenvalues do too
+    src = str(Path(R.__file__).resolve().parents[1])
+    hashes = [json.loads(subprocess.run(
+        [sys.executable, "-c", _HASH_STREAMS], check=True, capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout)
+        for threads in ("1", "2")]
+    assert hashes[0] == hashes[1]
+
+
+def _blas_threads():
+    blas = R._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    return blas[0]()
+
+
+def test_stream_restores_the_blas_thread_count_on_success_and_error():
+    before = _blas_threads()
+    X = sample_data_matrix(40, 2100, seed=21)
+    covariance_and_stream(X, KernelSpec(variant="indicator", dimension=40, radius=8.0),
+                          block=700)
+    assert _blas_threads() == before
+    # the profile leaves [0, 1] at the largest distances, inside a worker
+    top = 0.999 * pairwise_sqdist(X.entries).max()
+    K = KernelSpec(variant="custom", dimension=40,
+                   profile=lambda sq: np.where(sq > top, 1.5, 0.5))
+    with pytest.raises(ValueError, match="left"):
+        covariance_and_stream(X, K, block=700)
+    assert _blas_threads() == before
+
+
+def test_concurrent_streams_on_more_workers_than_cores_keep_their_bits():
+    # four streams at once, each on four workers (the thread count on entry
+    # of the first one), with a short switch interval: the pin is restored
+    # and every stream gives the bits of a stream on the default workers
+    before = _blas_threads()
+    put = R._openblas_threads()[1]
+    X = sample_data_matrix(30, 1500, seed=4)
+    K = KernelSpec(variant="gaussian", dimension=30, tau=1.0)
+    one = covariance_and_stream(X, K, block=128)
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        put(4)
+        with ThreadPoolExecutor(4) as pool:
+            runs = list(pool.map(lambda _: covariance_and_stream(X, K, block=128), range(4)))
+        after = _blas_threads()
+    finally:
+        put(before)
+        sys.setswitchinterval(switch)
+    assert after == 4
+    for run in runs:
+        assert all(np.array_equal(a, b) for a, b in zip(run, one))
+
+
+def test_nested_pins_keep_the_saved_thread_count():
+    before = _blas_threads()
+    with R._one_blas_thread() as outer:
+        assert (outer, _blas_threads()) == (before, 1)
+        with R._one_blas_thread() as inner:
+            assert inner == before
+        assert _blas_threads() == 1
+    assert _blas_threads() == before
 
 
 def test_indicator_xi_forms_no_float64_tile():

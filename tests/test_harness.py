@@ -131,6 +131,16 @@ def test_config_file_rejects_unknown_key_and_bad_line(tmp_path):
     assert cli.main(["simulate", "--config", str(old_key)]) == 2
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    # the last line used to win without a word
+    path = tmp_path / "twice.cfg"
+    path.write_text("p = 100\nn = 400\np = 50\n")
+    with pytest.raises(ValueError, match=r"'p' repeats line 1") as err:
+        ExperimentConfig.from_file(path)
+    assert ":3:" in str(err.value)
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+
+
 # one grid point, a descending grid, and an x_lo above the default upper end
 # (1.15 x the MP edge, 3.07 at c = 0.4) used to fail only in the solver, exit 3
 @pytest.mark.parametrize("grid", [
@@ -241,8 +251,8 @@ def test_run_experiment_deterministic_and_thread_invariant(tmp_path):
 
 
 def test_semi_high_dim_multi_tile_thread_invariant(tmp_path):
-    # n above twice the default block of 1024, so each trial walks a 3 x 3
-    # tile grid with a ragged last block
+    # n above twice the default block of 1024, so each trial walks a 5 x 5
+    # grid of 512-wide tiles, with a ragged last one, on the workers
     cfg = _cfg(tmp_path, regime="semi_high_dim", p=50, n=2100,
                kernel_variant="indicator", kernel_z_alpha=0.0, trials=2)
 
@@ -255,6 +265,23 @@ def test_semi_high_dim_multi_tile_thread_invariant(tmp_path):
                 json.dumps(report, sort_keys=True))
 
     assert snapshot(1) == snapshot(2)
+
+
+def test_multi_tile_trials_write_the_same_bytes_at_any_trial_threads(tmp_path):
+    # the eigensolve of a 400 x 400 matrix sums differently on 1 and 2 BLAS
+    # threads: a trial that ran it on one thread only while another trial's
+    # stream held BLAS on one thread would give bytes that depend on timing
+    cfg = _cfg(tmp_path, regime="semi_high_dim", p=400, n=1100,
+               kernel_variant="indicator", kernel_z_alpha=0.0, trials=4)
+
+    def snapshot(threads):
+        harness.run_experiment(cfg, threads=threads)
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        report.pop("runtime_seconds")
+        return (out / "histogram.csv").read_bytes(), json.dumps(report, sort_keys=True)
+
+    assert snapshot(1) == snapshot(2) == snapshot(2)
 
 
 def test_same_seed_and_blas_threads_give_the_same_bytes(tmp_path):
