@@ -2,7 +2,6 @@
 # kernel adjacency degrees, and the truncated covariance matrices whose
 # spectra the rest of the library analyses.
 
-import collections
 import contextlib
 import functools
 import os
@@ -164,9 +163,9 @@ _U32 = 2.0**-24  # unit roundoff of float32
 
 BLOCK = 1024  # the default, and largest, tile side of the stream
 
-# OpenBLAS thread count pinned by `_one_blas_thread`: the callers inside, and
-# the count on the first one's entry, restored when the last one leaves. It
-# is module state because OpenBLAS has one thread count per process
+# OpenBLAS thread count pinned by `_walk`: the walks inside, and the count on
+# the first one's entry, restored when the last one leaves. It is module
+# state because OpenBLAS has one thread count per process
 _PIN = threading.Lock()
 _pinned = {"callers": 0, "threads": 1}
 
@@ -190,12 +189,28 @@ def _openblas_threads():
     return None
 
 
+def _serial(fn, make, items):
+    """fn(state, item) for each of the items, in order, on the caller's thread
+    and one state made by make()."""
+    return map(functools.partial(fn, make()), items)
+
+
 @contextlib.contextmanager
-def _one_blas_thread():
-    """OpenBLAS on one thread while any caller, on any thread, is inside: the
-    first caller in saves the thread count and sets it to 1, the last one out
-    restores it, on error too. Gives the saved count, the number of workers a
-    stream runs; without OpenBLAS's setter, 1 and nothing pinned."""
+def _walk(n, block=BLOCK):
+    """The walk of a stream over n columns: gives workers(fn, make, items),
+    the results of fn(state, item) for each of the items, in item order.
+
+    For n <= block, `_serial`: nothing is pinned. Above it, the items run on
+    as many worker threads as OpenBLAS had threads on entry, with OpenBLAS
+    on one thread until the last walk inside, on any thread, leaves (on
+    error too); without OpenBLAS's setter, on one worker and nothing
+    pinned. Each task borrows one of up to that many states, all made by
+    make() on the calling thread first: made on the workers, their buffers
+    left the peak RSS of a 400 x 20000 stream 1-7 MB higher, and varying.
+    """
+    if n <= block:
+        yield _serial
+        return
     blas = _openblas_threads()
     with _PIN:
         if blas and not _pinned["callers"]:
@@ -203,8 +218,24 @@ def _one_blas_thread():
             blas[1](1)
         _pinned["callers"] += 1
         threads = _pinned["threads"]
+
+    def workers(fn, make, items):
+        states = queue.SimpleQueue()
+        for _ in range(min(threads, len(items))):
+            states.put(make())
+
+        def task(item):
+            state = states.get()
+            try:
+                return fn(state, item)
+            finally:
+                states.put(state)
+
+        return pool.map(task, items)
+
     try:
-        yield threads
+        with ThreadPoolExecutor(threads) as pool:
+            yield workers
     finally:
         with _PIN:
             _pinned["callers"] -= 1
@@ -212,41 +243,9 @@ def _one_blas_thread():
                 blas[1](_pinned["threads"])
 
 
-def _in_order(pool, threads, fn, make, items):
-    """fn(state, item) for each of the items on the pool's threads, yielded
-    in item order, with at most threads + 1 items submitted ahead of the one
-    yielded. Each task borrows one of up to `threads` states, all made by
-    make() on the calling thread first: made on the workers, their buffers
-    left the peak RSS of a 400 x 20000 stream 1-7 MB higher, and varying."""
-    states = queue.SimpleQueue()
-    for _ in range(min(threads, len(items))):
-        states.put(make())
-
-    def task(item):
-        state = states.get()
-        try:
-            return fn(state, item)
-        finally:
-            states.put(state)
-
-    pending = collections.deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(task, item))
-            if len(pending) > threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
-def _stream(X: DataMatrix, K: KernelSpec, block, workers=None):
+def _stream(X: DataMatrix, K: KernelSpec, block, workers):
     """Degrees deg = A 1 and W A W^T of the adjacency A_ij = K(X_i, X_j)
-    (zero diagonal) without materialising A, and the tile buffer of a
-    one-tile stream, which `covariance_and_stream` reuses: (deg, W A W^T,
-    buf).
+    (zero diagonal) without materialising A: (deg, W A W^T).
 
     A is symmetric, so only its upper-triangular tiles (I, J), J >= I, are
     formed, each once. Row block I sums its tiles into one panel V_I =
@@ -260,22 +259,18 @@ def _stream(X: DataMatrix, K: KernelSpec, block, workers=None):
     the float64 Gram's, except possibly at a pair whose float64 margin lies
     within float64 rounding of 0.
 
-    Without `workers` (n <= block), the one n x n tile is formed on the
-    caller's thread and BLAS threads. With them, the tiles are ceil(block /
-    2) wide and each row block is one task on the workers, which returns its
-    degree contributions and W_I V_I; these are added into deg and S in
-    row-block order, and BLAS runs on one thread, so every bit is the same
-    for any number of workers or BLAS threads. Each task borrows one of the
-    workers' sets of tile, operands and panels (`_Tiles`). Memory beyond X:
-    O(p^2 + p block + block^2), per worker on the workers' walk.
+    Each row block is one item of `_walk(n, block)`'s `workers`, which
+    returns its degree contributions and W_I V_I; these are added into deg
+    and S in row-block order. For n <= block that is the one n x n tile, on
+    the caller's thread and BLAS threads. Above it the tiles are ceil(block
+    / 2) wide, each task borrows one of the workers' sets of tile, operands
+    and panels (`_Tiles`), and BLAS runs on one thread, so every bit is the
+    same for any number of workers or BLAS threads. Memory beyond X: O(p^2 +
+    p block + block^2), per worker above n = block.
     """
     W, n = X.entries, X.n
     sqn = np.einsum("ij,ij->j", W, W)
-    if workers is None:
-        tiles = _Tiles(W, K, sqn, block)
-        deg, S = tiles.row_block(0)
-        return deg, np.add(S, S.T, out=S), tiles.buf
-    side = -(-block // 2)
+    side = block if n <= block else -(-block // 2)
     # on the workers: _Tiles calls no public function, whose tracer spans
     # would share one stack across threads
     blocks = workers(_Tiles.row_block, lambda: _Tiles(W, K, sqn, side),
@@ -284,7 +279,7 @@ def _stream(X: DataMatrix, K: KernelSpec, block, workers=None):
     for d, P in blocks:
         deg += d
         S += P
-    return deg, np.add(S, S.T, out=S), None
+    return deg, np.add(S, S.T, out=S)
 
 
 class _Tiles:
@@ -383,8 +378,10 @@ class _IndicatorTiles:
         p = W.shape[0]
         self.W, self.V, self.sqn, self.sqv, self.r2, self.lo = W, V, sqn, sqv, r2, None
         self.scale = 2.0 ** -((int(np.frexp(max(sqn.max(), sqv.max(), r2))[1]) + 1) // 2)
-        self.a, self.b = ((s - r2 / 2) * self.scale**2 for s in (sqn, sqv))  # exact: 2^k
-        self.norm, self.normv = (np.sqrt(s) * self.scale for s in (sqn, sqv))
+        # exact: 2^k; the symmetric stream shares W's vectors with V's
+        self.a, self.norm = (sqn - r2 / 2) * self.scale**2, np.sqrt(sqn) * self.scale
+        self.b, self.normv = (self.a, self.norm) if V is W else (
+            (sqv - r2 / 2) * self.scale**2, np.sqrt(sqv) * self.scale)
         self.coef = ((p + 2) * _U32 / (1 - (p + 2) * _U32) + 3 * _U32) * (1 + _U32)
         self.tiny = (p + 2) * 2.0**-146  # subnormal casts and products
         # the tile (float64 on the symmetric stream, float32 margins on the
@@ -484,37 +481,29 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=BLOCK):
     (1 / 2n^2) sum_{i,j} K(X_i, X_j) (X_i - X_j)(X_i - X_j)^T.
 
     deg and W A W^T come from the stream's row panels (`_stream`); W diag(deg)
-    W^T is formed one GEMM per block of output rows (`_weighted_gram`), in
-    the tile buffer of a one-tile stream: no p x n temporary. Memory beyond X
-    is O(p^2 + p block + block^2): one 1024 x 1024 tile at the default block
-    for n <= block; above it, per worker, one 512 x 512 tile and its panels
-    during the stream, then one block of output rows.
+    W^T is formed one GEMM per block of output rows (`_weighted_gram`): no
+    p x n temporary. Memory beyond X is O(p^2 + p block + block^2): one
+    1024 x 1024 tile at the default block for n <= block; above it, per
+    worker, one 512 x 512 tile and its panels during the stream, then one
+    block of output rows.
     """
     return covariance_and_stream(X, K, block)[0]
 
 
 def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=BLOCK):
     """`truncated_covariance` M with the degrees and W A W^T of the
-    stream (`_stream`) it is formed from: (M, deg, W A W^T). For n > block
-    both run on worker threads, with BLAS on one thread (`_in_order`,
-    `_one_blas_thread`)."""
+    stream (`_stream`) it is formed from: (M, deg, W A W^T). Both the
+    stream and W diag(deg) W^T run on one `_walk(n, block)`: on the
+    caller's thread for n <= block, else on worker threads with BLAS on one
+    thread. W diag(deg) W^T's buffers are made after the stream's are
+    freed."""
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    if X.n <= block:
-        deg, xaxt, buf = _stream(X, K, block)
-        # the row blocks go into the stream's buffer: a separate block (32 MB
-        # at 400 x 20000 and block 2048), once freed, stayed in the C heap and
-        # raised the next trial's peak by as much
-        M = _weighted_gram(X.entries, deg, block, buf)
-    else:
-        # as many workers as OpenBLAS has threads, with OpenBLAS pinned to
-        # one thread until the workers have stopped
-        with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as pool:
-            workers = functools.partial(_in_order, pool, threads)
-            deg, xaxt, _ = _stream(X, K, block, workers)
-            M = _weighted_gram(X.entries, deg, block, workers=workers)
+    with _walk(X.n, block) as workers:
+        deg, xaxt = _stream(X, K, block, workers)
+        M = _weighted_gram(X.entries, deg, block, workers)
     M -= xaxt
     M /= X.n**2
     return 0.5 * (M + M.T), deg, xaxt
@@ -529,11 +518,10 @@ def _row_blocks(p, n, block):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _weighted_gram(W, v, block=2048, buf=None, workers=None):
-    """W diag(v) W^T, one GEMM (W[rows] * v) W^T per block of output rows,
-    each product W[rows] * v in `buf` where it fits. With `workers`, each
-    block is one task that writes its own rows of the result, its product in
-    one of the workers' buffers.
+def _weighted_gram(W, v, block=BLOCK, workers=_serial):
+    """W diag(v) W^T, one GEMM (W[rows] * v) W^T per block of output rows.
+    Each block is one item of `workers` (`_walk`), which writes its own rows
+    of the result, its product W[rows] * v in one of the workers' buffers.
 
     A blocked BLAS GEMM sums each output entry over the inner dimension in
     an order that does not depend on how many rows it is asked for (Goto
@@ -544,21 +532,16 @@ def _weighted_gram(W, v, block=2048, buf=None, workers=None):
     p, n = W.shape
     out = np.empty((p, p))
     blocks = _row_blocks(p, n, block)
+    height = max(s - r for r, s in blocks)
 
-    def rows(room, edges):  # on a worker: calls no public function
+    def rows(buf, edges):  # on a worker: calls no public function
         r, s = edges
-        fits = room is not None and room.size >= (s - r) * n
-        Wv = room[:(s - r) * n].reshape(s - r, n) if fits else np.empty((s - r, n))
+        Wv = buf[:(s - r) * n].reshape(s - r, n)
         np.multiply(W[r:s], v, out=Wv)
         np.matmul(Wv, W.T, out=out[r:s])
 
-    if workers:
-        height = max(s - r for r, s in blocks)
-        for _ in workers(rows, lambda: np.empty(height * n), blocks):
-            pass
-    else:
-        for edges in blocks:
-            rows(buf, edges)
+    for _ in workers(rows, lambda: np.empty(height * n), blocks):
+        pass
     return out
 
 

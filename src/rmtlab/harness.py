@@ -2,7 +2,6 @@
 # comparison of pooled spectra with the predicted limiting laws, and flat-file
 # artifacts (histogram CSV, law CSV, report JSON).
 
-import contextlib
 import json
 import math
 import time
@@ -222,12 +221,11 @@ def select_prediction(config: ExperimentConfig, kernel=None):
 # ---------------------------------------------------------------------------
 
 def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
-    # a stream of more than one tile pins BLAS to one thread, for every
-    # thread of the process, while it runs; the trial runs whole inside the
-    # pin, so that its eigensolve does not run on one BLAS thread or on all
-    # of them by whether another trial thread is inside its stream
-    with (ensemble._one_blas_thread() if config.n > ensemble.BLOCK
-          else contextlib.nullcontext()):
+    # the walk of a stream of more than one tile pins BLAS to one thread, for
+    # every thread of the process, while it runs; the trial runs whole inside
+    # a walk of its n, so that its eigensolve does not run on one BLAS thread
+    # or on all of them by whether another trial thread is inside its stream
+    with ensemble._walk(config.n):
         seed = ensemble.derive_seed(config.master_seed, t)
         X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
                                         config.sigma, seed)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -477,12 +478,63 @@ def test_concurrent_streams_on_more_workers_than_cores_keep_their_bits():
 
 def test_nested_pins_keep_the_saved_thread_count():
     before = _blas_threads()
-    with R._one_blas_thread() as outer:
-        assert (outer, _blas_threads()) == (before, 1)
-        with R._one_blas_thread() as inner:
-            assert inner == before
+    with R._walk(R.BLOCK + 1):
+        assert (R._pinned["threads"], _blas_threads()) == (before, 1)
+        with R._walk(R.BLOCK + 1):
+            assert R._pinned["threads"] == before
         assert _blas_threads() == 1
     assert _blas_threads() == before
+
+
+def test_stream_runs_on_the_caller_or_on_pinned_workers_by_n():
+    # n <= block: the one tile on the calling thread, BLAS threads as they
+    # were; n > block: every tile on a worker, BLAS on one thread; the count
+    # is restored afterwards
+    before = _blas_threads()
+    get, seen = R._openblas_threads()[0], []
+
+    def profile(sq):
+        seen.append((threading.current_thread(), get()))
+        return np.exp(-sq / 80.0)
+
+    K = KernelSpec(variant="custom", dimension=20, profile=profile)
+    covariance_and_stream(sample_data_matrix(20, 300, seed=5), K, block=300)
+    assert seen and set(seen) == {(threading.current_thread(), before)}
+    seen.clear()
+    covariance_and_stream(sample_data_matrix(20, 301, seed=5), K, block=300)
+    assert seen and all(t is not threading.current_thread() and count == 1
+                        for t, count in seen)
+    assert _blas_threads() == before
+
+
+def test_pooled_walk_yields_in_item_order_when_a_later_item_finishes_first():
+    before = _blas_threads()
+    put = R._openblas_threads()[1]
+    released, finished = threading.Event(), []
+
+    def fn(state, item):
+        if item == 0:
+            assert released.wait(10)  # item 0 waits until item 1 is done
+        finished.append(item)
+        if item == 1:
+            released.set()
+        return item
+
+    try:
+        put(2)  # two workers
+        with R._walk(R.BLOCK + 1) as workers:
+            got = list(workers(fn, object, range(3)))
+    finally:
+        put(before)
+    assert finished[:2] == [1, 0] and got == [0, 1, 2]
+
+
+def test_symmetric_indicator_tiles_share_their_vectors():
+    # V is W: one set of shifted squared norms and norms, not two
+    W = sample_data_matrix(10, 50, seed=2).entries
+    sqn = np.einsum("ij,ij->j", W, W)
+    t = R._IndicatorTiles(W, W, sqn, sqn, 20.0, 16)
+    assert t.b is t.a and t.normv is t.norm
 
 
 def test_indicator_xi_forms_no_float64_tile():
