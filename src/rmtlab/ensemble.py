@@ -161,9 +161,11 @@ _REDECIDE_BATCH = 1024
 
 _U32 = 2.0**-24  # unit roundoff of float32
 
-BLOCK = 1024  # the default, and largest, tile side of the stream
+# the default block: a stream of more than BLOCK columns runs on `_pool()`;
+# every walk's tiles are `_side(BLOCK)` = 512 wide
+BLOCK = 1024
 
-# OpenBLAS thread count pinned by `_walk`: the walks inside, and the count on
+# OpenBLAS thread count pinned by `_pool`: the pools inside, and the count on
 # the first one's entry, restored when the last one leaves. It is module
 # state because OpenBLAS has one thread count per process
 _PIN = threading.Lock()
@@ -198,19 +200,26 @@ def _serial(fn, make, items):
 @contextlib.contextmanager
 def _walk(n, block=BLOCK):
     """The walk of a stream over n columns: gives workers(fn, make, items),
-    the results of fn(state, item) for each of the items, in item order.
-
-    For n <= block, `_serial`: nothing is pinned. Above it, the items run on
-    as many worker threads as OpenBLAS had threads on entry, with OpenBLAS
-    on one thread until the last walk inside, on any thread, leaves (on
-    error too); without OpenBLAS's setter, on one worker and nothing
-    pinned. Each task borrows one of up to that many states, all made by
-    make() on the calling thread first: made on the workers, their buffers
-    left the peak RSS of a 400 x 20000 stream 1-7 MB higher, and varying.
-    """
+    the results of fn(state, item) for each of the items, in item order:
+    `_serial` for n <= block, else `_pool()`'s."""
     if n <= block:
         yield _serial
         return
+    with _pool() as workers:
+        yield workers
+
+
+@contextlib.contextmanager
+def _pool():
+    """Gives workers(fn, make, items), which runs fn(state, item) for each of
+    the items on as many worker threads as OpenBLAS had threads on entry and
+    yields the results in item order, with OpenBLAS on one thread until the
+    last pool inside, on any thread, leaves (on error too); without
+    OpenBLAS's setter, on one worker and nothing pinned. Each task borrows
+    one of up to that many states, all made by make() on the calling thread
+    first: made on the workers, their buffers left the peak RSS of a 400 x
+    20000 stream 1-7 MB higher, and varying.
+    """
     blas = _openblas_threads()
     with _PIN:
         if blas and not _pinned["callers"]:
@@ -243,6 +252,12 @@ def _walk(n, block=BLOCK):
                 blas[1](_pinned["threads"])
 
 
+def _side(block):
+    """The side, ceil(block / 2), of the tiles of every walk of a kernel
+    matrix: the stream's for any n, and the conditional means'."""
+    return -(-block // 2)
+
+
 def _stream(X: DataMatrix, K: KernelSpec, block, workers):
     """Degrees deg = A 1 and W A W^T of the adjacency A_ij = K(X_i, X_j)
     (zero diagonal) without materialising A: (deg, W A W^T).
@@ -259,18 +274,19 @@ def _stream(X: DataMatrix, K: KernelSpec, block, workers):
     the float64 Gram's, except possibly at a pair whose float64 margin lies
     within float64 rounding of 0.
 
-    Each row block is one item of `_walk(n, block)`'s `workers`, which
-    returns its degree contributions and W_I V_I; these are added into deg
-    and S in row-block order. For n <= block that is the one n x n tile, on
-    the caller's thread and BLAS threads. Above it the tiles are ceil(block
-    / 2) wide, each task borrows one of the workers' sets of tile, operands
-    and panels (`_Tiles`), and BLAS runs on one thread, so every bit is the
-    same for any number of workers or BLAS threads. Memory beyond X: O(p^2 +
-    p block + block^2), per worker above n = block.
+    The tiles are ceil(block / 2) wide (`_side`), one for n up to that. Each
+    row block is one item of `_walk(n, block)`'s `workers`, which returns its
+    degree contributions and W_I V_I; these are added into deg and S in
+    row-block order. For n <= block the row blocks run on the caller's
+    thread and BLAS threads. Above it each task borrows one of the workers'
+    sets of tile, operands and panels (`_Tiles`), and BLAS runs on one
+    thread, so every bit is the same for any number of workers or BLAS
+    threads. Memory beyond X: O(p^2 + p block + block^2), per worker above
+    n = block.
     """
     W, n = X.entries, X.n
     sqn = np.einsum("ij,ij->j", W, W)
-    side = block if n <= block else -(-block // 2)
+    side = _side(block)
     # on the workers: _Tiles calls no public function, whose tracer spans
     # would share one stack across threads
     blocks = workers(_Tiles.row_block, lambda: _Tiles(W, K, sqn, side),
@@ -483,9 +499,8 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=BLOCK):
     deg and W A W^T come from the stream's row panels (`_stream`); W diag(deg)
     W^T is formed one GEMM per block of output rows (`_weighted_gram`): no
     p x n temporary. Memory beyond X is O(p^2 + p block + block^2): one
-    1024 x 1024 tile at the default block for n <= block; above it, per
-    worker, one 512 x 512 tile and its panels during the stream, then one
-    block of output rows.
+    512 x 512 tile at the default block and its panels during the stream
+    (per worker for n > block), then one block of output rows.
     """
     return covariance_and_stream(X, K, block)[0]
 
@@ -705,9 +720,9 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
     """xi_i = E[K(X_i, V) | X_i] estimated by the row means (1/m) sum_j
     K(X_i, v_j) over m = mc_conditional fresh draws v_j of V.
 
-    The X-vs-V kernel matrix is walked in block x block tiles decided as in
-    `_stream`, so no n x m array is formed: memory beyond X and V is
-    O(p (n + m) + block^2). An indicator tile is counted from its float32
+    The X-vs-V kernel matrix is walked in the stream's tiles (`_side`),
+    decided as in `_stream`, so no n x m array is formed: memory beyond X and
+    V is O(p (n + m) + block^2). An indicator tile is counted from its float32
     margins, with the pairs in their rounding band decided again in float64
     (`_IndicatorTiles.count`): no float64 tile is formed, and the exact
     integer row counts give the float64 Gram's means.
@@ -721,19 +736,20 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
     return _kernel_row_means(X.entries, V, K)
 
 
-def _kernel_row_means(W, V, K, block=2048):
+def _kernel_row_means(W, V, K, block=BLOCK):
     """(1/m) sum_j K(w_i, v_j) for the columns w_i of W and v_j of V, from
-    block x block tiles; a row within one tile is summed whole, as by mean."""
-    n, m = W.shape[1], V.shape[1]
+    tiles of the stream's side; a row within one tile is summed whole, as by
+    mean."""
+    (n, m), side = (W.shape[1], V.shape[1]), _side(block)
     sqn, sqv = (np.einsum("ij,ij->j", U, U) for U in (W, V))
-    indicator = (_IndicatorTiles(W, V, sqn, sqv, K.radius**2, block)
+    indicator = (_IndicatorTiles(W, V, sqn, sqv, K.radius**2, side)
                  if K.variant == "indicator" else None)
-    buf = None if indicator else np.empty(min(block, n) * min(block, m))
+    buf = None if indicator else np.empty(min(side, n) * min(side, m))
     total = np.zeros(n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        for lo2 in range(0, m, block):
-            hi2 = min(lo2 + block, m)
+    for lo in range(0, n, side):
+        hi = min(lo + side, n)
+        for lo2 in range(0, m, side):
+            hi2 = min(lo2 + side, m)
             if indicator:
                 indicator.count(total, lo, hi, lo2, hi2)
             else:

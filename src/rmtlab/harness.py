@@ -455,6 +455,11 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
     """Empirical check of the reduction steps: the W2 gap between the spectra
     of M and the decoupled matrix, the scaled centered-degree maximum, and the
     Hilbert-Schmidt size of the adjacency part.
+
+    Each (p, n, seed) case runs whole, sampling to both eigensolves, as one
+    task of `ensemble._pool()`, with BLAS on one thread, so the rows are the
+    same at any BLAS thread count. The cases go in largest p n first and
+    the rows come back in input order.
     """
     if not (seeds := list(seeds)):
         raise ValueError("diagnostics_reductions needs at least one seed")
@@ -465,29 +470,46 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
     if kernel_variant not in ("indicator", "constant"):
         raise ValueError("diagnostics_reductions takes the indicator or constant "
                          f"kernel, got {kernel_variant!r}")
+    if min(p_list) < 1 or min(n_list) < 2:
+        raise ValueError("diagnostics_reductions needs p >= 1 and n >= 2, "
+                         f"got p_list={p_list}, n_list={n_list}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if mc_conditional < 100:
+        raise ValueError(f"mc_conditional must be >= 100, got {mc_conditional}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for p, n in zip(p_list, n_list):
-        for seed in seeds:
-            K = ensemble.KernelSpec(
-                variant=kernel_variant, dimension=p,
-                radius=ensemble.indicator_radius_from_z_alpha(kernel_z_alpha, sigma, p)
-                if kernel_variant == "indicator" else None)
-            X = ensemble.sample_data_matrix(p, n, "gaussian", sigma,
-                                            ensemble.derive_seed(seed, p))
-            M, deg, xaxt = ensemble.covariance_and_stream(X, K)
-            xaxt /= n**2
-            xi = ensemble.xi_conditional(X, K, mc_conditional, seed)
-            w2 = spectra.wasserstein2(
-                spectra.esd(spectra.symmetric_eigenvalues(M)),
-                spectra.esd(spectra.symmetric_eigenvalues(ensemble.xi_bar_matrix(X, xi))))
-            xi_pr = ensemble.xi_prime(deg, xi)
-            rows.append({
-                "p": p, "n": n, "seed": int(seed), "w2_m_mbar": w2,
-                "max_xi_prime_over_n": float(np.max(np.abs(xi_pr)) / n),
-                "hs_xaxt_over_sqrt_p": float(np.linalg.norm(xaxt) / math.sqrt(p)),
-            })
+
+    def run_case(_, case):
+        p, n, seed = case
+        K = ensemble.KernelSpec(
+            variant=kernel_variant, dimension=p,
+            radius=ensemble.indicator_radius_from_z_alpha(kernel_z_alpha, sigma, p)
+            if kernel_variant == "indicator" else None)
+        X = ensemble.sample_data_matrix(p, n, "gaussian", sigma,
+                                        ensemble.derive_seed(seed, p))
+        M, deg, xaxt = ensemble.covariance_and_stream(X, K)
+        xaxt /= n**2
+        xi = ensemble.xi_conditional(X, K, mc_conditional, seed)
+        w2 = spectra.wasserstein2(
+            spectra.esd(spectra.symmetric_eigenvalues(M)),
+            spectra.esd(spectra.symmetric_eigenvalues(ensemble.xi_bar_matrix(X, xi))))
+        xi_pr = ensemble.xi_prime(deg, xi)
+        return {
+            "p": p, "n": n, "seed": int(seed), "w2_m_mbar": w2,
+            "max_xi_prime_over_n": float(np.max(np.abs(xi_pr)) / n),
+            "hs_xaxt_over_sqrt_p": float(np.linalg.norm(xaxt) / math.sqrt(p)),
+        }
+
+    cases = [(p, n, seed) for p, n in zip(p_list, n_list) for seed in seeds]
+    # largest first (Graham's LPT rule): a large case that started last
+    # would leave the other workers idle while it ran
+    order = sorted(range(len(cases)), key=lambda i: -cases[i][0] * cases[i][1])
+    rows = [None] * len(cases)
+    with ensemble._pool() as workers:
+        done = workers(run_case, lambda: None, [cases[i] for i in order])
+        for i, row in zip(order, done):
+            rows[i] = row
     lines = ["p,n,seed,w2_m_mbar,max_xi_prime_over_n,hs_xaxt_over_sqrt_p"]
     for r in rows:
         lines.append(f"{r['p']},{r['n']},{r['seed']},{_fmt(r['w2_m_mbar'])},"

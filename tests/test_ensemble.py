@@ -314,8 +314,9 @@ def _exact_indicator_means(W, V, radius):
 @pytest.mark.parametrize("block", [2048, 700, 64])
 def test_indicator_xi_is_exact_on_integer_data(block):
     # the rows are all 1000 columns, the columns of V the 500 partners, so
-    # every base row has its partner exactly on the radius; block 700 splits
-    # the rows, block 64 the rows and V
+    # every base row has its partner exactly on the radius; the tiles are
+    # 1024 wide at block 2048, one tile, and 350 and 32 wide at 700 and 64,
+    # which split the rows and V
     _, partner, radius, _ = _integer_pairs_on_the_radius()
     W, _ = _integer_data_on_the_radius()
     sq, xi = _exact_indicator_means(W, partner, radius)
@@ -339,7 +340,7 @@ def test_indicator_xi_does_not_move_under_power_of_two_scaling(k):
 
 @pytest.mark.parametrize("block", [2048, 700, 64])
 def test_gaussian_xi_matches_dense_kernel_matrix(block):
-    # block 700 and 64 sum each row over several tiles of V
+    # every block sums each row over several tiles of V (2,000 columns)
     X = sample_data_matrix(30, 900, seed=8)
     K = KernelSpec(variant="gaussian", dimension=30, tau=1.0)
     V = R.draw_entries(R.rng_from_seed(5, stream=(0xD1A6,)), "gaussian", 1.0,
@@ -353,8 +354,8 @@ def test_gaussian_xi_matches_dense_kernel_matrix(block):
 
 
 def test_xi_memory_stays_below_the_kernel_matrix():
-    # the dense route held the n x m distance matrix; the tiles are block x
-    # block, with the indicator's float32 operands inside that budget
+    # the dense route held the n x m distance matrix; the tiles are at most
+    # block x block, with the indicator's float32 operands inside that budget
     X = sample_data_matrix(20, 2000, seed=1)
     V = sample_data_matrix(20, 2000, seed=2).entries
     for K in (KernelSpec(variant="gaussian", dimension=20, tau=1.0),
@@ -384,10 +385,11 @@ def test_stream_memory_stays_below_one_column_block():
         assert peak < 4000 * 256 * 8, K.variant
 
 
-def test_default_stream_memory_is_one_1024_tile():
-    # the bound is one 1024 x 1024 float64 tile (8.4 MB), its float32
-    # operands and two 1024 x p panels; n > 1024, so each of the workers
-    # holds a 512 x 512 tile, its operands and two 512 x p panels instead
+def test_default_stream_memory_is_one_512_tile_per_worker():
+    # every stream walks 512 x 512 tiles at the default block; n > 1024, so
+    # each of the workers holds a tile, its float32 operands and two
+    # 512 x p panels. The bound is that of one 1024 x 1024 float64 tile
+    # (8.4 MB), its operands and two 1024 x p panels on one thread
     X = sample_data_matrix(100, 5000, seed=1)
     K = KernelSpec(variant="indicator", dimension=100,
                    radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 100))
@@ -539,13 +541,13 @@ def test_symmetric_indicator_tiles_share_their_vectors():
 
 def test_indicator_xi_forms_no_float64_tile():
     # the X-vs-V walk counts each tile's 1s from its float32 margins, so its
-    # peak stays below one block x block float64 tile
+    # peak stays below one float64 tile (512 x 512 at block 1024)
     X = sample_data_matrix(20, 2000, seed=1)
     V = sample_data_matrix(20, 2000, seed=2).entries
     K = KernelSpec(variant="indicator", dimension=20, radius=6.0)
     tracemalloc.start()
     try:
-        R._kernel_row_means(X.entries, V, K, block=512)
+        R._kernel_row_means(X.entries, V, K, block=1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

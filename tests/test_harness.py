@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +450,121 @@ def test_diagnostics_reductions_rejects_unbuildable_kernels(tmp_path, variant):
                                        kernel_variant=variant,
                                        out_dir=str(tmp_path / "diag"))
     assert not (tmp_path / "diag").exists()
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"p_list": (0,), "n_list": (40,)}, "p >= 1"),
+    # with one sample M = 0, yet a W2 gap was reported
+    ({"p_list": (5,), "n_list": (1,)}, "n >= 2"),
+    ({"sigma": -1.0}, "sigma"),
+    ({"mc_conditional": 50}, "mc_conditional"),
+], ids=["p", "n", "sigma", "mc_conditional"])
+def test_diagnostics_reductions_checks_inputs_before_making_its_directory(
+        tmp_path, kw, match):
+    # checked before any case runs on the pool, and before out_dir is made
+    kw = {"p_list": (10,), "n_list": (40,), **kw}
+    with pytest.raises(ValueError, match=match):
+        harness.diagnostics_reductions(seeds=[0], out_dir=str(tmp_path / "diag"), **kw)
+    assert not (tmp_path / "diag").exists()
+
+
+def _openblas_or_skip():
+    blas = ensemble._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    return blas
+
+
+def test_diagnostics_rows_come_in_input_order_when_a_later_case_finishes_first(
+        tmp_path, monkeypatch):
+    # input order (p 20, 30, 10) is submitted largest first (30, 20, 10) on
+    # two workers; case 30 waits until case 10 is done, so the cases finish
+    # as 20, 10, 30: the rows must follow none of the other two orders
+    get, put = _openblas_or_skip()
+    before, released, finished = get(), threading.Event(), []
+    xi_conditional = ensemble.xi_conditional
+
+    def held(X, *args):
+        if X.p == 30:
+            assert released.wait(10)
+        xi = xi_conditional(X, *args)
+        finished.append(X.p)
+        if X.p == 10:
+            released.set()
+        return xi
+
+    monkeypatch.setattr(ensemble, "xi_conditional", held)
+    try:
+        put(2)
+        result = harness.diagnostics_reductions(
+            p_list=(20, 30, 10), n_list=(60, 60, 60), seeds=[0],
+            mc_conditional=100, out_dir=str(tmp_path / "diag"))
+    finally:
+        put(before)
+    assert finished == [20, 10, 30]
+    assert [r["p"] for r in result["rows"]] == [20, 30, 10]
+    csv = (tmp_path / "diag" / "reduction_gaps.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in csv[1:]] == ["20", "30", "10"]
+
+
+def test_diagnostics_error_in_one_case_reaches_the_caller_and_restores_blas(
+        tmp_path, monkeypatch):
+    get, _ = _openblas_or_skip()
+    before = get()
+    xi_conditional = ensemble.xi_conditional
+
+    def failing(X, *args):
+        if X.p == 20:
+            raise FloatingPointError("case p=20 failed")
+        return xi_conditional(X, *args)
+
+    monkeypatch.setattr(ensemble, "xi_conditional", failing)
+    with pytest.raises(FloatingPointError, match="p=20"):
+        harness.diagnostics_reductions(p_list=(10, 20, 30), n_list=(40, 40, 40),
+                                       seeds=[0, 1], mc_conditional=100,
+                                       out_dir=str(tmp_path / "diag"))
+    assert get() == before
+    assert not (tmp_path / "diag" / "reduction_gaps.csv").exists()
+
+
+def test_diagnostics_on_more_workers_than_cores_keep_their_rows(tmp_path):
+    # four cases at once, each with n > 1024 opening its own stream pool of
+    # four workers under the diagnostics' pin, with a short switch interval:
+    # the rows are those of one case at a time and the pin is restored
+    get, put = _openblas_or_skip()
+    before, switch = get(), sys.getswitchinterval()
+
+    def rows(threads):
+        put(threads)
+        return harness.diagnostics_reductions(
+            p_list=(12, 8), n_list=(1100, 1030), seeds=range(3), mc_conditional=100,
+            out_dir=str(tmp_path / f"diag{threads}"))["rows"]
+
+    try:
+        one = rows(1)
+        sys.setswitchinterval(1e-5)
+        four = rows(4)
+        after = get()
+    finally:
+        put(before)
+        sys.setswitchinterval(switch)
+    assert after == 4
+    assert four == one
+
+
+def test_diagnostics_are_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # every case runs on the pool with BLAS on one thread, its 400 x 400
+    # eigensolves and a two-tile stream (n = 700, 1000) included
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "rmtlab.cli", "diagnostics", "--sizes",
+                        "100:250,200:700,400:1000", "--seeds", "3", "--out", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                       capture_output=True)
+        runs.append((out / "reduction_gaps.csv").read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_diagnostics_reductions_small(tmp_path):
