@@ -22,12 +22,10 @@ def main():
     params = rep["law_params"]
     print(f"alpha_p = {params['alpha_p']:.4f}, "
           f"pair moment E[A12 A13] = {params['pair_moment']:.4f}")
-    print(f"predicted SC variance = {params['variance']:.4f} "
-          f"(contrast with E[A12^2] = {params['beta_p_sq']:.4f})")
+    print(f"predicted SC variance = {params['variance']:.4f}")
     print(f"pooled KS vs SC: {rep['pooled_ks']:.4f}")
     print(f"predicted mean shift {rep['predicted_mean_shift']:+.4f}; "
           f"KS vs shifted SC: {rep['pooled_ks_shifted']:.4f}")
-    print(f"closed-form transform residual: {rep['sc_transform_residual']:.2e}")
 
     rep2 = harness.semicircle_experiment(
         p=200, n=6000, kernel_variant="constant", trials=2, seed=0,

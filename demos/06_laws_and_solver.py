@@ -37,7 +37,7 @@ def main():
 
     # full pipeline: solve on a grid, invert to a density, assemble a CDF
     x_grid = np.linspace(0.0, 1.15 * b, 400)
-    genmp = laws.GenMPLaw(0.4, 1.0, zeta_ind, x_grid, 1e-3)
+    genmp = laws.GenMPLaw(0.4, 1.0, zeta_ind, x_grid)
     print(f"generalized MP: atom at 0 = {genmp.atom_at_zero:.4f} (rank deficit), "
           f"mass correction {genmp.mass_correction:.4f}, "
           f"median ~ {x_grid[np.searchsorted(genmp.cdf(x_grid), 0.5)]:.4f}")

@@ -20,7 +20,7 @@ def build_parser():
         description="Simulate kernel-truncated covariance spectra and compare "
                     "them with their predicted limiting laws.")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel trial workers (default 1)")
+                        help="parallel trial workers, at least 1 (default 1)")
     parser.add_argument("--check", action="store_true",
                         help="apply acceptance thresholds; exit 4 on breach")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,7 +190,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         return _COMMANDS[args.command](args)
     except (SolverError, InversionQualityError, np.linalg.LinAlgError) as exc:

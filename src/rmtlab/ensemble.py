@@ -561,7 +561,7 @@ def _weighted_gram(W, v, block=BLOCK, workers=_serial):
 
 
 # ---------------------------------------------------------------------------
-# Kernel moments alpha_p = E K(X1, X2) and beta_p^2 = E K(X1, X2)^2
+# Kernel moments alpha_p = E K(X1, X2) and E K(X1, X2) K(X1, X3)
 # ---------------------------------------------------------------------------
 
 def _mc_sums(f, draws, rng, entry_law, sigma, p, mc_samples):
@@ -588,10 +588,10 @@ def _sqnorm_diff(a, b):
     return np.einsum("ij,ij->j", d, d)
 
 
-def _kernel_moment_mc(K, entry_law, sigma, power, mc_samples, seed):
-    """Monte-Carlo mean and standard error of K(X1, X2)^power."""
+def _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed):
+    """Monte-Carlo mean and standard error of K(X1, X2)."""
     total, total_sq = _mc_sums(
-        lambda x1, x2: K.eval_sqdist(_sqnorm_diff(x1, x2)) ** power, 2,
+        lambda x1, x2: K.eval_sqdist(_sqnorm_diff(x1, x2)), 2,
         rng_from_seed(seed), entry_law, sigma, K.dimension, mc_samples)
     mean = total / mc_samples
     var = max(total_sq / mc_samples - mean**2, 0.0)
@@ -615,27 +615,7 @@ def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian",
         p = K.dimension
         val = 1.0 - (1.0 + 2.0 * sigma**2 / (p * K.tau**2)) ** (-p / 2.0)
     else:
-        val, se = _kernel_moment_mc(K, entry_law, sigma, 1, mc_samples, seed)
-    return (val, se) if return_stderr else val
-
-
-def beta_p_sq(K: KernelSpec, sigma=1.0, entry_law="gaussian",
-              mc_samples=10**5, seed=0, return_stderr=False):
-    """E K(X1, X2)^2. For the indicator kernel this equals alpha_p (K^2 = K)."""
-    val, se = None, 0.0
-    if K.variant == "constant":
-        val = 1.0
-    elif K.variant == "indicator":
-        out = alpha_p(K, sigma, entry_law, mc_samples, seed, return_stderr=True)
-        val, se = out
-    elif K.variant == "gaussian" and entry_law == "gaussian":
-        # expand the square; E e^{-t ||X1-X2||^2} = (1 + 4 sigma^2 t)^{-p/2}
-        p, tau = K.dimension, K.tau
-        a = (1.0 + 2.0 * sigma**2 / (p * tau**2)) ** (-p / 2.0)
-        b = (1.0 + 4.0 * sigma**2 / (p * tau**2)) ** (-p / 2.0)
-        val = float(1.0 - 2.0 * a + b)
-    else:
-        val, se = _kernel_moment_mc(K, entry_law, sigma, 2, mc_samples, seed)
+        val, se = _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed)
     return (val, se) if return_stderr else val
 
 

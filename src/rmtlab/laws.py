@@ -201,14 +201,12 @@ def gauss_hermite_prob(n):
     return nodes, weights
 
 
-def zeta_indicator(z_alpha, n_atoms=64) -> ZetaDistribution:
+def zeta_indicator(z_alpha) -> ZetaDistribution:
     """Limit of the conditional indicator-kernel mean for Gaussian entries:
     Phi(Z / sqrt(3) + 2 z_alpha / sqrt(3)) with Z ~ N(0, 1), discretized on
-    Gauss-Hermite nodes.
+    64 Gauss-Hermite nodes.
     """
-    if n_atoms < 16:
-        raise ValueError("n_atoms must be >= 16")
-    nodes, weights = gauss_hermite_prob(n_atoms)
+    nodes, weights = gauss_hermite_prob(64)
     values = special.ndtr((nodes + 2.0 * z_alpha) / np.sqrt(3.0))
     return ZetaDistribution(values=values, weights=weights)
 
@@ -301,6 +299,8 @@ def zeta_general(phi_tilde, moments: DMoments, n_outer=64, n_inner=64) -> ZetaDi
 
 # Cap on the vectorized Newton steps of one solve.
 NEWTON_STEPS = 50
+# Residual |F| that every point of a solve must reach.
+TOL = 1e-10
 # Step halvings tried before a point is taken to have no descent direction.
 _HALVINGS = 40
 # Points where the cold Newton stalls are re-solved at heights
@@ -315,7 +315,6 @@ class StieltjesSolution:
     counts Newton steps, `fallback_points` the points re-solved from above
     because the cold Newton found no descent."""
 
-    grid: np.ndarray
     values: np.ndarray
     iterations: int
     max_residual: float
@@ -331,10 +330,10 @@ def _equation(s, z, c, sigma, zeta):
     return 1.0 + z * s - s * q.sum(axis=1), z - (q / denom).sum(axis=1)
 
 
-def _newton(s, z, c, sigma, zeta, tol):
+def _newton(s, z, c, sigma, zeta):
     """Newton steps on F, each halved until |F| decreases and Im s > 0.
 
-    A point stops after the step taken from |F| <= tol, which brings s to
+    A point stops after the step taken from |F| <= TOL, which brings s to
     round-off, or when it finds no descent. Returns the iterates, their |F|
     and the number of steps taken.
     """
@@ -351,19 +350,18 @@ def _newton(s, z, c, sigma, zeta, tol):
             F_try, dF_try = _equation(s_try, z[idx], c, sigma, zeta)
             ok = (np.abs(F_try) < r[pending]) & (s_try.imag > 0)
             s[idx[ok]], F[idx[ok]], dF[idx[ok]] = s_try[ok], F_try[ok], dF_try[ok]
-            # a point already at tol is at round-off after the full step or
+            # a point already at TOL is at round-off after the full step or
             # never: it takes that step or none, without halving
-            pending = pending[~ok & (r[pending] > tol)]
+            pending = pending[~ok & (r[pending] > TOL)]
             if not pending.size:
                 break
         descended = np.ones(active.size, dtype=bool)
         descended[pending] = False
-        active = active[descended & (r > tol)]
+        active = active[descended & (r > TOL)]
     return s, np.abs(F), steps
 
 
-def solve_nonsmooth_stieltjes(z, c, sigma, zeta: ZetaDistribution,
-                              tol=1e-10, init=None):
+def solve_nonsmooth_stieltjes(z, c, sigma, zeta: ZetaDistribution, init=None):
     """Solve 1 + z s = E[sigma^2 s zeta / (1 + c sigma^2 s zeta)] in C+ at
     one point, by `solve_stieltjes_grid`.
 
@@ -372,44 +370,43 @@ def solve_nonsmooth_stieltjes(z, c, sigma, zeta: ZetaDistribution,
     """
     if c <= 0 or sigma <= 0:
         raise ValueError("need c > 0 and sigma > 0")
-    sol = solve_stieltjes_grid(np.asarray([complex(z)]), c, sigma, zeta,
-                               tol=tol, init=init)
+    sol = solve_stieltjes_grid(np.asarray([complex(z)]), c, sigma, zeta, init=init)
     return complex(sol.values[0])
 
 
 def solve_stieltjes_grid(z_grid, c, sigma, zeta: ZetaDistribution,
-                         tol=1e-10, init=None) -> StieltjesSolution:
+                         init=None) -> StieltjesSolution:
     """Vectorized solve of 1 + z s = E[sigma^2 s zeta / (1 + c sigma^2 s zeta)]
-    over a grid of upper-half-plane points, to residual tol.
+    over a grid of upper-half-plane points, to residual TOL.
 
     Backtracking Newton steps from `init` (default i / (1 + |z|)), at most
-    NEWTON_STEPS of them. Points still above tol are solved again by Newton,
+    NEWTON_STEPS of them. Points still above TOL are solved again by Newton,
     continued down in height from Im z = _LADDER_TOP (Dobriban, RMTA 2015);
-    SolverError if one is still above tol at its own height.
+    SolverError if one is still above TOL at its own height.
     """
     z = np.asarray(z_grid, dtype=complex).ravel()
     if np.any(z.imag <= 0):
         raise ValueError("all grid points must have Im z > 0")
     s0 = np.full(z.shape, init, dtype=complex) if init is not None \
         else 1j / (1.0 + np.abs(z))
-    s, res, iterations = _newton(s0.copy(), z, c, sigma, zeta, tol)
-    slow = np.flatnonzero(res > tol)
+    s, res, iterations = _newton(s0.copy(), z, c, sigma, zeta)
+    slow = np.flatnonzero(res > TOL)
     if slow.size:
         zs, ss, k = z[slow], s0[slow], 0
         while True:
             height = _LADDER_TOP / 10.0**k
             ss, rs, steps = _newton(ss, zs.real + 1j * np.maximum(zs.imag, height),
-                                    c, sigma, zeta, tol)
+                                    c, sigma, zeta)
             iterations += steps
             if height <= zs.imag.min():
                 break
             k += 1
-        if rs.max() > tol:
+        if rs.max() > TOL:
             raise SolverError(
                 f"fixed point not converged: max residual {rs.max():.3e} > "
-                f"tol {tol:.1e} after {iterations} Newton steps")
+                f"tol {TOL:.1e} after {iterations} Newton steps")
         s[slow], res[slow] = ss, rs
-    return StieltjesSolution(grid=z, values=s, iterations=iterations,
+    return StieltjesSolution(values=s, iterations=iterations,
                              max_residual=float(res.max()),
                              fallback_points=int(slow.size))
 
@@ -436,8 +433,8 @@ def stieltjes_invert(s_fn, x_grid, v):
 
 def generalized_mp_cdf(x_grid, density, atom_at_zero=0.0):
     """Monotone CDF from a density grid (trapezoid accumulation) plus an atom
-    at 0; renormalizes when total mass is within [0.97, 1.03] and errors when
-    outside [0.9, 1.1].
+    at 0, renormalized to total mass 1; raises InversionQualityError when the
+    mass is outside [0.9, 1.1].
     """
     x = np.asarray(x_grid, dtype=float)
     f = np.asarray(density, dtype=float)
@@ -475,22 +472,25 @@ def law_grid(x_lo, x_hi, points, c=None, scale=None):
     return np.linspace(lo, hi, points)
 
 
+# Height above the real axis at which GenMPLaw inverts the transform.
+INVERSION_HEIGHT = 1e-3
+
+
 @dataclass(frozen=True, eq=False)
 class GenMPLaw:
     """Generalized MP law of the fixed point with weights zeta, tabulated on
-    the real grid by Stieltjes-Perron inversion at height v (1e-3).
+    the real grid by Stieltjes-Perron inversion at height INVERSION_HEIGHT.
 
-    The constructor solves the fixed point on grid + i v, takes the exact
-    atom at 0, the rank deficit max(0, 1 - P(zeta > 0) / c) of
-    sum_i zeta_i x_i x_i^T / n, removes its transform -atom / z, inverts the
-    rest to a density and assembles the renormalized CDF.
+    The constructor solves the fixed point on grid + i INVERSION_HEIGHT,
+    takes the exact atom at 0, the rank deficit max(0, 1 - P(zeta > 0) / c)
+    of sum_i zeta_i x_i x_i^T / n, removes its transform -atom / z, inverts
+    the rest to a density and assembles the renormalized CDF.
     """
 
     c: float
     sigma: float
     zeta: ZetaDistribution
     grid: np.ndarray
-    v: float = 1e-3
     solution: StieltjesSolution = field(init=False)
     grid_density: np.ndarray = field(init=False)
     atom_at_zero: float = field(init=False)
@@ -501,10 +501,10 @@ class GenMPLaw:
         c, sigma, zeta = self.c, self.sigma, self.zeta
         if c <= 0 or sigma <= 0:
             raise ValueError("GenMPLaw needs c > 0 and sigma > 0")
-        sol = solve_stieltjes_grid(self.grid + 1j * self.v, c, sigma, zeta)
+        sol = solve_stieltjes_grid(self.grid + 1j * INVERSION_HEIGHT, c, sigma, zeta)
         atom = max(0.0, 1.0 - float(zeta.weights[zeta.values > 0].sum()) / c)
         density = stieltjes_invert(lambda z: sol.values + atom / z,
-                                   self.grid, self.v)
+                                   self.grid, INVERSION_HEIGHT)
         cdf = generalized_mp_cdf(self.grid, density, atom_at_zero=atom)
         for name, value in (("solution", sol), ("grid_density", density),
                             ("atom_at_zero", atom),

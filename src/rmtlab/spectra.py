@@ -6,11 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def symmetric_eigenvalues(S, sym_tol=1e-10):
+def symmetric_eigenvalues(S):
     """All eigenvalues of a real symmetric matrix, ascending.
 
     Rejects matrices that are non-square, hold a non-finite entry, or are
-    asymmetric beyond `sym_tol` relative; symmetrizes (S + S^T)/2 before the
+    asymmetric beyond 1e-10 relative; symmetrizes (S + S^T)/2 before the
     solve.
     """
     S = np.asarray(S, dtype=float)
@@ -19,7 +19,7 @@ def symmetric_eigenvalues(S, sym_tol=1e-10):
     if not np.isfinite(S).all():
         raise ValueError("matrix has non-finite entries")
     scale = np.linalg.norm(S)
-    if scale > 0 and np.linalg.norm(S - S.T) > sym_tol * scale:
+    if scale > 0 and np.linalg.norm(S - S.T) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(0.5 * (S + S.T))
 

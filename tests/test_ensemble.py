@@ -528,7 +528,9 @@ def test_pooled_walk_yields_in_item_order_when_a_later_item_finishes_first():
             got = list(workers(fn, object, range(3)))
     finally:
         put(before)
-    assert finished[:2] == [1, 0] and got == [0, 1, 2]
+    # the worker that ran item 1 may take and finish item 2 before item 0
+    # wakes, so only the order of items 1 and 0 is fixed
+    assert finished.index(1) < finished.index(0) and got == [0, 1, 2]
 
 
 def test_symmetric_indicator_tiles_share_their_vectors():
@@ -641,7 +643,7 @@ def test_alpha_gaussian_closed_form():
     K = KernelSpec(variant="gaussian", dimension=200, tau=1.0)
     val = R.alpha_p(K, sigma=1.0)
     assert val == pytest.approx(1.0 - (1.0 + 2.0 / 200) ** (-100), abs=1e-12)
-    mc, se = _kernel_moment_mc(K, "gaussian", 1.0, 1, 10**5, 0)
+    mc, se = _kernel_moment_mc(K, "gaussian", 1.0, 10**5, 0)
     assert abs(val - mc) <= 3.0 * se
 
 
@@ -661,25 +663,6 @@ def test_alpha_monte_carlo_path():
     # different entry law, but the CLT distance distribution is close at p=30
     assert abs(mc - closed) < 0.05
     assert se > 0
-
-
-def test_beta_sq_indicator_equals_alpha():
-    K = KernelSpec(variant="indicator", dimension=50,
-                   radius=R.indicator_radius_from_z_alpha(0.5, 1.0, 50))
-    assert R.beta_p_sq(K) == R.alpha_p(K)
-
-
-def test_beta_sq_constant():
-    assert R.beta_p_sq(KernelSpec(variant="constant", dimension=3)) == 1.0
-
-
-def test_beta_sq_gaussian_closed_form_vs_monte_carlo():
-    K = KernelSpec(variant="gaussian", dimension=200, tau=1.0)
-    closed = R.beta_p_sq(K, sigma=1.0)
-    mc, se = _kernel_moment_mc(K, "gaussian", 1.0, 2, 3 * 10**5, 2)
-    assert se < 1e-3
-    assert abs(closed - mc) <= 3.0 * se
-    assert 0.0 < closed < 1.0
 
 
 def test_pair_moment_constant():
@@ -742,22 +725,22 @@ def test_monte_carlo_moments_reject_zero_samples(moment):
 
 
 # Seeded Monte Carlo fallbacks, recorded from the chunked loops they replaced:
-# (entry_law, p, mc_samples) -> (alpha_p and its stderr, beta_p^2 and its
-# stderr, pair moment, mean eigenvalue at n = 200), custom profile exp(-t/2p),
-# seed 11. The p = 4000 case spans two chunks (2500 + 100 samples).
+# (entry_law, p, mc_samples) -> (alpha_p and its stderr, pair moment, mean
+# eigenvalue at n = 200), custom profile exp(-t/2p), seed 11. The p = 4000
+# case spans two chunks (2500 + 100 samples).
 MC_PINS = {
     ("gaussian", 30, 5000): (
-        0.38063599555712785, 0.0013127185284051563, 0.15349991078785685,
-        0.0010336236799483684, 0.14578748418567516, 0.3546621544147169),
+        0.38063599555712785, 0.0013127185284051563, 0.14578748418567516,
+        0.3546621544147169),
     ("rademacher", 30, 5000): (
-        0.37407089196336185, 0.0009619263122262259, 0.14455554336503088,
-        0.0007601862174390355, 0.1387340578227229, 0.35979954254149715),
+        0.37407089196336185, 0.0009619263122262259, 0.1387340578227229,
+        0.35979954254149715),
     ("uniform_centered", 30, 5000): (
-        0.3756738734295342, 0.0011205405344753203, 0.14740891462456085,
-        0.0008786341536215472, 0.14210222792400629, 0.3574161107402823),
+        0.3756738734295342, 0.0011205405344753203, 0.14210222792400629,
+        0.3574161107402823),
     ("gaussian", 4000, 2600): (
-        0.3679383397983434, 0.00016042086781399554, 0.1354455325161197,
-        0.0001181820552592868, 0.13543020891540497, 0.3659491833041309),
+        0.3679383397983434, 0.00016042086781399554, 0.13543020891540497,
+        0.3659491833041309),
 }
 
 
@@ -766,7 +749,6 @@ def test_monte_carlo_moments_are_pinned(entry_law, p, mc_samples):
     K = KernelSpec(variant="custom", dimension=p, profile=lambda t: np.exp(-t / (2.0 * p)))
     kw = dict(entry_law=entry_law, mc_samples=mc_samples, seed=11)
     got = (*R.alpha_p(K, 1.0, return_stderr=True, **kw),
-           *R.beta_p_sq(K, 1.0, return_stderr=True, **kw),
            R.pair_kernel_moment(K, 1.0, **kw),
            R.expected_mean_eigenvalue(K, 1.0, n=200, **kw))
     assert all(type(v) is float for v in got)

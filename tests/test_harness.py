@@ -345,6 +345,17 @@ def test_run_experiment_validates_config_with_kernel(tmp_path):
         harness.run_experiment(cfg, kernel=K, write_artifacts=False)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_experiment_rejects_threads_below_one(tmp_path, monkeypatch, threads):
+    def trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "_trial_eigenvalues", trial)
+    cfg = _cfg(tmp_path, p=60, n=150, trials=2)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        harness.run_experiment(cfg, threads=threads)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_experiment_wide_matrix_scores_zero_eigenvalues_on_atom(tmp_path):
     # p > n: M has p - n + 1 zero eigenvalues, which the eigensolver returns
     # as +-1e-15; MP(2, 1) puts its atom of mass 1/2 at 0
@@ -399,7 +410,6 @@ def test_semicircle_experiment_constant_kernel(tmp_path):
         p=150, n=3000, kernel_variant="constant", trials=1, seed=0,
         out_dir=str(tmp_path / "sc"))
     assert rep["pooled_ks"] <= 0.08
-    assert rep["sc_transform_residual"] <= 1e-10
     payload = json.loads((tmp_path / "sc" / "report.json").read_text())
     assert "pooled_ks_shifted" in payload
     assert "predicted_mean_shift" in payload
@@ -419,8 +429,16 @@ def test_semicircle_experiment_report_is_run_experiments(tmp_path):
     sc.pop("runtime_seconds")
     run.pop("runtime_seconds")
     assert sc == run
-    assert {"predicted_mean_shift", "pooled_ks_shifted",
-            "sc_transform_residual"} <= set(run)
+    assert {"predicted_mean_shift", "pooled_ks_shifted"} <= set(run)
+
+
+def test_semicircle_report_holds_only_values_the_run_varies(tmp_path):
+    out = tmp_path / "sc"
+    harness.semicircle_experiment(p=40, n=500, trials=1, seed=3, out_dir=str(out))
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["law_params"]) == {"kind", "c", "alpha_p", "pair_moment",
+                                         "variance"}
+    assert "sc_transform_residual" not in report
 
 
 def test_diagnostics_reductions_rejects_no_seeds(tmp_path):
@@ -607,6 +625,16 @@ def test_cli_simulate_invalid_config(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("frobnicate = 1\n")
     assert cli.main(["simulate", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "1.5"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
+    path = _write_small_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([f"--threads={threads}", "simulate", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "cli_out").exists()
 
 
 def test_cli_check_breach_exit_code(tmp_path, monkeypatch):

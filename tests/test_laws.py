@@ -237,11 +237,6 @@ def test_zeta_indicator_matches_monte_carlo(z_alpha):
     assert abs(zeta.moment(2) - np.mean(draws**2)) <= 3 * se2
 
 
-def test_zeta_indicator_rejects_few_atoms():
-    with pytest.raises(ValueError):
-        zeta_indicator(0.0, n_atoms=8)
-
-
 def test_d_moments_closed_form():
     mom = d_moments("squared_difference", "gaussian", sigma=1.0)
     assert (mom.m1, mom.m2, mom.m2_1, mom.m2_2) == (2.0, 8.0, 2.0, 6.0)
@@ -455,7 +450,7 @@ def test_genmp_law_point_mass_reproduces_mp():
     mp = MPLaw(c=0.4, scale=1.0)
     a, b = mp.support
     x = np.linspace(0.0, 1.15 * b, 400)
-    law = laws.GenMPLaw(0.4, 1.0, ZetaDistribution.point_mass(1.0), x, 1e-3)
+    law = laws.GenMPLaw(0.4, 1.0, ZetaDistribution.point_mass(1.0), x)
     inner = (x > a + 0.05) & (x < b - 0.05)
     assert np.max(np.abs(law.density(x) - mp_density(mp, x))[inner]) <= 1e-2
     assert np.max(np.abs(law.cdf(x) - mp_cdf(mp, x))) <= 5e-3
@@ -479,11 +474,21 @@ def test_generalized_cdf_rejects_bad_mass():
         generalized_mp_cdf(x, np.full(11, -1.0))
 
 
+def test_generalized_cdf_renormalizes_any_mass_in_its_range():
+    # outside [0.97, 1.03] but inside [0.9, 1.1]: renormalized, not rejected
+    x = np.linspace(0.0, 1.0, 11)
+    cdf = generalized_mp_cdf(x, np.full(11, 0.93))
+    assert cdf.mass_correction == pytest.approx(1 / 0.93, rel=1e-12)
+    assert cdf(1.0) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(InversionQualityError, match="0.8900"):
+        generalized_mp_cdf(x, np.full(11, 0.89))
+
+
 @pytest.mark.parametrize("c, atom", [(0.4, 0.0), (2.5, 0.6)])
 def test_genmp_law_exact_atom_at_zero(c, atom):
     # all indicator atoms are positive, so the rank deficit is max(0, 1 - 1/c)
     x = np.linspace(0.0, 1.15 * MPLaw(c=c, scale=1.0).support[1], 400)
-    law = laws.GenMPLaw(c, 1.0, zeta_indicator(0.5), x, 1e-3)
+    law = laws.GenMPLaw(c, 1.0, zeta_indicator(0.5), x)
     assert law.atom_at_zero == pytest.approx(atom, abs=1e-12)
     mass = np.trapezoid(law.grid_density, x) + atom
     assert 0.99 <= mass <= 1.01
@@ -494,6 +499,6 @@ def test_genmp_law_exact_atom_at_zero(c, atom):
 def test_genmp_law_rejects_bad_parameters():
     x = np.linspace(0.0, 3.0, 50)
     with pytest.raises(ValueError):
-        laws.GenMPLaw(-0.4, 1.0, zeta_indicator(0.0), x, 1e-3)
+        laws.GenMPLaw(-0.4, 1.0, zeta_indicator(0.0), x)
     with pytest.raises(ValueError):
-        laws.GenMPLaw(0.4, 0.0, zeta_indicator(0.0), x, 1e-3)
+        laws.GenMPLaw(0.4, 0.0, zeta_indicator(0.0), x)
