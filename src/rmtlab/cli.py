@@ -3,7 +3,6 @@
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -92,24 +91,15 @@ def _cmd_simulate(args):
     return _gate(report)
 
 
-def _cmd_figure1(args):
-    betas = tuple(math.inf if tok.strip() == "inf" else float(tok)
-                  for tok in args.betas.split(","))
-    return _print_sweep(harness.figure1(
-        p=args.p, n=args.n, sigma=args.sigma, betas=betas, seed=args.seed,
-        trials=args.trials, out_dir=args.out or "fig1_out", threads=args.threads,
-        check=args.check))
-
-
-def _cmd_figure2(args):
-    taus = tuple(float(tok) for tok in args.taus.split(","))
-    return _print_sweep(harness.figure2(
-        p=args.p, n=args.n, sigma=args.sigma, taus=taus, seed=args.seed,
-        trials=args.trials, out_dir=args.out or "fig2_out", threads=args.threads,
-        check=args.check))
-
-
-def _print_sweep(reports):
+def _cmd_figure(args):
+    """figure1 over --betas or figure2 over --taus (float reads 'inf')."""
+    name = "betas" if args.command == "figure1" else "taus"
+    sweep = {name: tuple(float(tok) for tok in getattr(args, name).split(","))}
+    if args.out:
+        sweep["out_dir"] = args.out
+    reports = getattr(harness, args.command)(
+        p=args.p, n=args.n, sigma=args.sigma, seed=args.seed, trials=args.trials,
+        threads=args.threads, check=args.check, **sweep)
     for tag, rep in reports.items():
         ks = rep["pooled_ks"]
         print(f"{tag}: pooled KS = {ks:.4f}" if ks is not None
@@ -181,8 +171,8 @@ def _print_report(report):
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "figure1": _cmd_figure1,
-    "figure2": _cmd_figure2,
+    "figure1": _cmd_figure,
+    "figure2": _cmd_figure,
     "semicircle": _cmd_semicircle,
     "diagnostics": _cmd_diagnostics,
     "law": _cmd_law,

@@ -99,11 +99,11 @@ class KernelSpec:
         if self.variant not in KERNEL_VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == "indicator":
-            if self.radius is None or self.radius < 0:
-                raise ValueError("indicator kernel needs radius >= 0")
+            if self.radius is None or not self.radius >= 0:
+                raise ValueError(f"indicator kernel needs radius >= 0, got {self.radius}")
         if self.variant == "gaussian":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("gaussian kernel needs tau > 0")
+            if self.tau is None or not 0 < self.tau < np.inf:
+                raise ValueError(f"gaussian kernel needs finite tau > 0, got {self.tau}")
         if self.variant == "custom" and self.profile is None:
             raise ValueError("custom kernel needs a profile callable")
 
@@ -124,6 +124,8 @@ class KernelSpec:
 
 def indicator_radius_from_beta(beta, sigma, p):
     """Figure-style radius r(beta) = sqrt((2 + beta) sigma^2 p)."""
+    if not beta >= -2:
+        raise ValueError(f"r(beta) needs beta >= -2, got {beta}")
     return float(np.sqrt((2.0 + beta) * sigma**2 * p))
 
 
@@ -138,6 +140,8 @@ def z_alpha_from_radius(radius, sigma, p):
 
 
 def indicator_radius_from_z_alpha(z_alpha, sigma, p):
+    if np.isnan(z_alpha):
+        raise ValueError("z_alpha must be a number, got nan")
     r2 = (2.0 * p + 2.0 * np.sqrt(2.0 * p) * z_alpha) * sigma**2
     if r2 < 0:
         return 0.0

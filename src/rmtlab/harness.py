@@ -49,8 +49,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.p < 2 or self.n < 2:
             raise ValueError("p and n must be >= 2")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.histogram_bins < 1:
             raise ValueError("histogram.bins must be >= 1")
         laws.law_grid(self.stieltjes_x_lo, self.stieltjes_x_hi,
@@ -385,22 +385,13 @@ def _json_default(obj):
 def figure1(p=200, n=500, sigma=1.0, betas=(-0.1, 0.1, 0.3, math.inf),
             seed=0, trials=1, out_dir="fig1_out", threads=1, check=False):
     """Indicator-kernel spectra across radius parameters r(beta), with the
-    plain MP overlay and, for finite beta, the generalized-MP overlay."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    reports = {}
-    for beta in betas:
-        constant = math.isinf(beta)
-        tag = "inf" if constant else f"{beta:g}"
-        cfg = ExperimentConfig(p=p, n=n, sigma=sigma, trials=trials,
-                               master_seed=seed,
-                               kernel_variant="constant" if constant else "indicator",
-                               kernel_beta=None if constant else beta,
-                               output_dir=str(out / f"beta_{tag}"))
-        reports[tag] = run_experiment(cfg, threads=threads, check=check)
-        # plain MP(c, sigma^2) overlay next to every histogram
-        _write_mp_overlay(out / f"beta_{tag}" / "law_mp.csv", p / n, sigma)
-    return reports
+    plain MP overlay law_mp.csv and, for finite beta, the generalized-MP
+    overlay; beta = inf is the constant kernel."""
+    runs = [("inf", {"kernel_variant": "constant"}) if math.isinf(beta) else
+            (f"{beta:g}", {"kernel_variant": "indicator", "kernel_beta": beta})
+            for beta in betas]
+    return _sweep(runs, out_dir, "beta_", "law_mp.csv", threads, check,
+                  p=p, n=n, sigma=sigma, trials=trials, master_seed=seed)
 
 
 def figure2(p=200, n=500, sigma=1.0, taus=(0.4, 0.7, 1.0, 1.3), seed=0,
@@ -408,22 +399,28 @@ def figure2(p=200, n=500, sigma=1.0, taus=(0.4, 0.7, 1.0, 1.3), seed=0,
     """Gaussian-kernel spectra across bandwidths tau with two MP overlays:
     the predicted MP(c, alpha sigma^2) in each run's law.csv, and the plain
     MP(c, sigma^2) written beside it as law_mp_raw.csv."""
+    runs = [(f"{tau:g}", {"kernel_variant": "gaussian", "kernel_tau": tau})
+            for tau in taus]
+    return _sweep(runs, out_dir, "tau_", "law_mp_raw.csv", threads, check,
+                  p=p, n=n, sigma=sigma, trials=trials, master_seed=seed)
+
+
+def _sweep(runs, out_dir, prefix, overlay, threads, check, **common):
+    """Run each (tag, kernel settings) of `runs` into out_dir/<prefix><tag>,
+    with the plain MP(c, sigma^2) on its default grid beside its law.csv.
+    Every config is validated before the first run, so an invalid one
+    leaves no file."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    configs = [(tag, ExperimentConfig(output_dir=str(out / f"{prefix}{tag}"),
+                                      **common, **settings).validate())
+               for tag, settings in runs]
     reports = {}
-    for tau in taus:
-        cfg = ExperimentConfig(p=p, n=n, sigma=sigma, trials=trials,
-                               master_seed=seed, kernel_variant="gaussian",
-                               kernel_tau=tau, output_dir=str(out / f"tau_{tau:g}"))
-        reports[f"{tau:g}"] = run_experiment(cfg, threads=threads, check=check)
-        _write_mp_overlay(out / f"tau_{tau:g}" / "law_mp_raw.csv", p / n, sigma)
+    for tag, cfg in configs:
+        reports[tag] = run_experiment(cfg, threads=threads, check=check)
+        c, scale = cfg.p / cfg.n, cfg.sigma**2
+        write_law_csv(Path(cfg.output_dir) / overlay, laws.MPLaw(c=c, scale=scale),
+                      laws.law_grid(None, None, 400, c, scale))
     return reports
-
-
-def _write_mp_overlay(path, c, sigma):
-    """MP(c, sigma^2) on its default grid, 400 points."""
-    write_law_csv(path, laws.MPLaw(c=c, scale=sigma**2),
-                  laws.law_grid(None, None, 400, c, sigma**2))
 
 
 def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
@@ -473,8 +470,6 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
         raise ValueError(f"sigma must be positive, got {sigma}")
     if mc_conditional < 100:
         raise ValueError(f"mc_conditional must be >= 100, got {mc_conditional}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def run_case(_, case):
         p, n, seed = case
@@ -506,6 +501,8 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
         done = workers(run_case, lambda: None, [cases[i] for i in order])
         for i, row in zip(order, done):
             rows[i] = row
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     lines = ["p,n,seed,w2_m_mbar,max_xi_prime_over_n,hs_xaxt_over_sqrt_p"]
     for r in rows:
         lines.append(f"{r['p']},{r['n']},{r['seed']},{_fmt(r['w2_m_mbar'])},"

@@ -156,6 +156,26 @@ def test_config_with_bad_grid_is_invalid(tmp_path, grid):
     assert not (tmp_path / "out").exists()
 
 
+# parameters that give no kernel used to pass validate() and fail in the run,
+# under messages that did not name them, and a NaN radius with exit 3
+@pytest.mark.parametrize("kernel, name", [
+    ("kernel.variant = indicator\nkernel.beta = -3", "beta"),
+    ("kernel.variant = indicator\nkernel.z_alpha = nan", "z_alpha"),
+    ("kernel.variant = indicator\nkernel.radius = nan", "radius"),
+    ("kernel.variant = gaussian\nkernel.tau = nan", "tau"),
+    ("kernel.variant = gaussian\nkernel.tau = inf", "tau"),
+    ("sigma = nan", "sigma"),
+], ids=["beta", "z_alpha", "radius", "tau_nan", "tau_inf", "sigma"])
+def test_cli_simulate_rejects_bad_kernel_parameters_before_writing(
+        tmp_path, capsys, kernel, name):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"p = 20\nn = 50\ntrials = 1\noutput_dir = {tmp_path / 'out'}\n"
+                    f"{kernel}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # prediction selection
 # ---------------------------------------------------------------------------
@@ -397,6 +417,33 @@ def test_figure1_mean_eigenvalue_increases_with_beta(tmp_path):
         < reports["0.3"]["pooled_mean_eigenvalue"]
 
 
+@pytest.mark.parametrize("figure, kw, match", [
+    (harness.figure1, {"betas": (0.1, -3.0)}, "beta"),
+    (harness.figure2, {"taus": (0.5, -1.0)}, "tau"),
+    (harness.figure1, {"betas": (0.1,), "threads": 0}, "threads"),
+], ids=["beta", "tau", "threads"])
+def test_figure_sweep_checks_every_run_before_writing(tmp_path, figure, kw, match):
+    # an invalid last run used to leave the earlier runs' files behind, and
+    # threads=0 an empty out_dir
+    with pytest.raises(ValueError, match=match):
+        figure(p=20, n=50, trials=1, out_dir=str(tmp_path / "fig"), **kw)
+    assert not (tmp_path / "fig").exists()
+
+
+def test_artifact_digest_of_figure1_is_the_same_in_any_directory(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+    digests = []
+    for name in ("a", "somewhere_else"):
+        out = tmp_path / name
+        harness.figure1(p=20, n=50, betas=(0.1, math.inf), trials=2,
+                        out_dir=str(out))
+        digests.append(subprocess.run([sys.executable, str(tool), str(out)],
+                                      check=True, capture_output=True,
+                                      text=True).stdout.splitlines())
+    assert len(digests[0]) == 8
+    assert digests[0] == digests[1]
+
+
 def test_figure2_narrow_bandwidth_tracks_prediction(tmp_path):
     reports = harness.figure2(p=200, n=500, taus=(0.05,), seed=0, trials=1,
                               out_dir=str(tmp_path / "f2"))
@@ -542,7 +589,7 @@ def test_diagnostics_error_in_one_case_reaches_the_caller_and_restores_blas(
                                        seeds=[0, 1], mc_conditional=100,
                                        out_dir=str(tmp_path / "diag"))
     assert get() == before
-    assert not (tmp_path / "diag" / "reduction_gaps.csv").exists()
+    assert not (tmp_path / "diag").exists()
 
 
 def test_diagnostics_on_more_workers_than_cores_keep_their_rows(tmp_path):
