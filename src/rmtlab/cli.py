@@ -30,12 +30,14 @@ def build_parser():
     fig1 = sub.add_parser("figure1", help="indicator-kernel spectra over r(beta)")
     _common_experiment_args(fig1)
     fig1.add_argument("--betas", default="-0.1,0.1,0.3,inf",
+                      type=_entries(float, "a number"),
                       help="comma-separated beta values ('inf' for the "
                            "constant kernel)")
 
     fig2 = sub.add_parser("figure2", help="gaussian-kernel spectra over tau")
     _common_experiment_args(fig2)
-    fig2.add_argument("--taus", default="0.4,0.7,1.0,1.3")
+    fig2.add_argument("--taus", default="0.4,0.7,1.0,1.3",
+                      type=_entries(float, "a number"))
 
     sc = sub.add_parser("semicircle", help="semi-high-dimensional regime run")
     sc.add_argument("--p", type=int, default=400)
@@ -51,6 +53,7 @@ def build_parser():
 
     diag = sub.add_parser("diagnostics", help="reduction-gap diagnostics")
     diag.add_argument("--sizes", default="100:250,200:500,400:1000",
+                      type=_entries(_size, "a p:n pair of integers"),
                       help="comma-separated p:n pairs")
     diag.add_argument("--z-alpha", type=float, default=0.0)
     diag.add_argument("--sigma", type=float, default=1.0)
@@ -74,6 +77,26 @@ def build_parser():
     return parser
 
 
+def _entries(read, what):
+    """An argparse type: the comma-separated entries of a flag, each read by
+    `read`; a bad entry is a usage error that names it and its position."""
+    def parse(text):
+        out = []
+        for k, tok in enumerate(text.split(","), 1):
+            try:
+                out.append(read(tok))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"entry {k} of {text!r} is not {what}: {tok!r}") from None
+        return tuple(out)
+    return parse
+
+
+def _size(tok):
+    p, n = tok.split(":")  # ValueError unless one colon
+    return int(p), int(n)
+
+
 def _common_experiment_args(p):
     p.add_argument("--p", type=int, default=200)
     p.add_argument("--n", type=int, default=500)
@@ -94,7 +117,7 @@ def _cmd_simulate(args):
 def _cmd_figure(args):
     """figure1 over --betas or figure2 over --taus (float reads 'inf')."""
     name = "betas" if args.command == "figure1" else "taus"
-    sweep = {name: tuple(float(tok) for tok in getattr(args, name).split(","))}
+    sweep = {name: getattr(args, name)}
     if args.out:
         sweep["out_dir"] = args.out
     reports = getattr(harness, args.command)(
@@ -127,13 +150,8 @@ def _cmd_semicircle(args):
 
 
 def _cmd_diagnostics(args):
-    sizes = [tuple(int(x) for x in pair.split(":"))
-             for pair in args.sizes.split(",")]
-    if any(len(size) != 2 for size in sizes):
-        raise ValueError(f"--sizes takes comma-separated p:n pairs, "
-                         f"got {args.sizes!r}")
     result = harness.diagnostics_reductions(
-        p_list=[s[0] for s in sizes], n_list=[s[1] for s in sizes],
+        p_list=[s[0] for s in args.sizes], n_list=[s[1] for s in args.sizes],
         kernel_z_alpha=args.z_alpha, sigma=args.sigma,
         seeds=range(args.seeds), out_dir=args.out)
     print(f"median W2 gaps: {[f'{m:.4f}' for m in result['median_w2']]}, "

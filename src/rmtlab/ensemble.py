@@ -65,8 +65,8 @@ def sample_data_matrix(p, n, entry_law="gaussian", sigma=1.0, seed=0):
     """
     if p < 1 or n < 1:
         raise ValueError(f"p and n must be positive, got p={p}, n={n}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     W = draw_entries(rng_from_seed(seed), entry_law, sigma, (p, n))
     return DataMatrix(entries=W, p=p, n=n, entry_law=entry_law,
                       sigma=float(sigma), seed=int(seed))
@@ -276,7 +276,8 @@ def _stream(X: DataMatrix, K: KernelSpec, block, workers):
     the sign of its margin except the pairs within the GEMM's rounding bound
     of 0, which are decided again in float64 (`_IndicatorTiles`). A is then
     the float64 Gram's, except possibly at a pair whose float64 margin lies
-    within float64 rounding of 0.
+    within float64 rounding of 0. Every kernel's tile then has its degrees
+    and zero diagonal taken in one place (`_Tiles.row_block`).
 
     The tiles are ceil(block / 2) wide (`_side`), one for n up to that. Each
     row block is one item of `_walk(n, block)`'s `workers`, which returns its
@@ -307,7 +308,8 @@ class _Tiles:
     one row block at a time: the side x side tile buffer (with the
     indicator's float32 operands), the panel V_I and, when a row holds more
     than one tile, a second side x p buffer that takes each tile's product
-    before it is added to V_I."""
+    before it is added to V_I. A tile is formed by its kernel's rule; its
+    degrees and zero diagonal are taken by `row_block` alone."""
 
     def __init__(self, W, K, sqn, side):
         p, n = W.shape
@@ -317,7 +319,7 @@ class _Tiles:
         self.panel = np.empty((min(side, n), p))
         self.tmp = np.empty_like(self.panel) if n > side else None
         self.indicator = (_IndicatorTiles(W, W, sqn, sqn, K.radius**2, side)
-                          if K.variant == "indicator" else None)
+                          if K.variant == "indicator" and K.radius < np.inf else None)
         self.buf = (self.indicator.buf if self.indicator
                     else np.empty(min(side, n) ** 2))
 
@@ -332,19 +334,17 @@ class _Tiles:
             hi2 = min(lo2 + side, n)
             A = self.buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
             if self.indicator:
-                self.indicator.fill(A, deg, lo, hi, lo2, hi2)
+                self.indicator.fill(A, lo, hi, lo2, hi2)
             else:
                 _kernel_tile(K, A, W[:, lo:hi], W[:, lo2:hi2], sqn[lo:hi], sqn[lo2:hi2])
-                if lo2 == lo:
-                    np.fill_diagonal(A, 0.0)
-                    deg[lo:hi] += A.sum(axis=0)
-                else:
-                    deg[lo:hi] += A.sum(axis=1)
-                    deg[lo2:hi2] += A.sum(axis=0)
-            if lo2 == lo:
+            if lo2 == lo:  # its column sums: exactly its row sums for 0/1 tiles
+                np.fill_diagonal(A, 0.0)
+                deg[lo:hi] += A.sum(axis=0)
                 np.matmul(A, W[:, lo:hi].T, out=V)
                 V *= 0.5  # exact: (A_II / 2) W_I^T
             else:
+                deg[lo:hi] += A.sum(axis=1)
+                deg[lo2:hi2] += A.sum(axis=0)
                 np.matmul(A, W[:, lo2:hi2].T, out=self.tmp[:hi - lo])
                 V += self.tmp[:hi - lo]
         return deg, W[:, lo:hi] @ V
@@ -389,9 +389,12 @@ class _IndicatorTiles:
     again by the formula, with g_ij from its own two columns.
 
     The symmetric stream takes float64 0/1 tiles (`fill`), whose upper half
-    holds the margins; the X-vs-V walk of the conditional means takes only
-    row counts (`count`), so its buffer holds float32 margins and no float64
-    tile, half the bytes.
+    holds the margins. A diagonal tile is exactly symmetric: a pair outside
+    the band takes the sign of its exact margin, one inside it the formula,
+    both symmetric in i and j. The X-vs-V walk of the conditional means
+    takes only row counts (`count`), so its buffer holds float32 margins and
+    no float64 tile, half the bytes. The radius must be finite: an infinite
+    one, 1 everywhere, is formed by `_kernel_tile`.
     """
 
     def __init__(self, W, V, sqn, sqv, r2, block):
@@ -412,32 +415,17 @@ class _IndicatorTiles:
         ops = self.buf.view(np.float32)[tile:]
         self.L, self.R = ops[:h * (p + 2)], ops[h * (p + 2):]
 
-    def fill(self, A, deg, lo, hi, lo2, hi2):
+    def fill(self, A, lo, hi, lo2, hi2):
         """Decide tile (I, J) of the symmetric stream into A as float64 0/1
-        values and add its row sums to deg[I]; add its column sums to deg[J]
-        too, or zero the diagonal of a diagonal tile."""
-        (h, w), cols = A.shape, lo2 != lo
-        ones = np.ones(max(h, w))
+        values, its diagonal's 1s included."""
+        h, w = A.shape
         # the float32 margins fill the upper half of A's bytes, so writing a
-        # chunk's float64 rows overwrites only margins already read. 0/1
-        # degree sums are exact in any order, so they are taken from the
-        # chunks in cache; a diagonal tile is symmetric and adds its row sums
-        # only
+        # chunk's float64 rows overwrites only margins already read
         m = A.reshape(-1).view(np.float32)[h * w:].reshape(h, w)
         for r, below in self._decided(m, lo, hi, lo2, hi2):
-            c = len(below)
-            A[r:r + c] = below
-            deg[lo + r:lo + r + c] += A[r:r + c] @ ones[:w]
-            if cols:
-                deg[lo2:hi2] += ones[:c] @ A[r:r + c]
-        for t, i, j, edge in self._redecided(lo, lo2, w):
+            A[r:r + len(below)] = below
+        for t, _, edge in self._redecided(lo, lo2, w):
             A.reshape(-1)[t] = edge  # each pair is 0 in A so far
-            np.add.at(deg, i, edge)
-            if cols:
-                np.add.at(deg, j, edge)
-        if not cols:
-            deg[lo:hi] -= A.diagonal()
-            np.fill_diagonal(A, 0.0)
 
     def count(self, total, lo, hi, lo2, hi2):
         """Add the number of 1s in each row of tile (I, J) to total[I],
@@ -447,7 +435,7 @@ class _IndicatorTiles:
         m = self.buf.view(np.float32)[:h * w].reshape(h, w)
         for r, below in self._decided(m, lo, hi, lo2, hi2):
             total[lo + r:lo + r + len(below)] += below.sum(axis=1, dtype=np.int32)
-        for _, i, _, edge in self._redecided(lo, lo2, w):
+        for _, i, edge in self._redecided(lo, lo2, w):
             np.add.at(total, i, edge)
 
     def _decided(self, m, lo, hi, lo2, hi2):
@@ -486,13 +474,13 @@ class _IndicatorTiles:
 
     def _redecided(self, lo, lo2, w):
         """Per batch of the last tile's pairs within the band: their flat
-        indices t in the tile, their columns i of W and j of V, and their
-        float64 decisions."""
+        indices t in the tile, their columns i of W, and their float64
+        decisions."""
         for s in range(0, len(self.found), _REDECIDE_BATCH):
             t = self.found[s:s + _REDECIDE_BATCH]
             i, j = lo + t // w, lo2 + t % w
             g = np.einsum("ij,ij->j", self.W.take(i, axis=1), self.V.take(j, axis=1))
-            yield t, i, j, -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
+            yield t, i, -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
 
 
 def truncated_covariance(X: DataMatrix, K: KernelSpec, block=BLOCK):
@@ -727,7 +715,7 @@ def _kernel_row_means(W, V, K, block=BLOCK):
     (n, m), side = (W.shape[1], V.shape[1]), _side(block)
     sqn, sqv = (np.einsum("ij,ij->j", U, U) for U in (W, V))
     indicator = (_IndicatorTiles(W, V, sqn, sqv, K.radius**2, side)
-                 if K.variant == "indicator" else None)
+                 if K.variant == "indicator" and K.radius < np.inf else None)
     buf = None if indicator else np.empty(min(side, n) * min(side, m))
     total = np.zeros(n)
     for lo in range(0, n, side):

@@ -49,8 +49,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.p < 2 or self.n < 2:
             raise ValueError("p and n must be >= 2")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.histogram_bins < 1:
             raise ValueError("histogram.bins must be >= 1")
         laws.law_grid(self.stieltjes_x_lo, self.stieltjes_x_hi,
@@ -466,8 +466,8 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
     if min(p_list) < 1 or min(n_list) < 2:
         raise ValueError("diagnostics_reductions needs p >= 1 and n >= 2, "
                          f"got p_list={p_list}, n_list={n_list}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if mc_conditional < 100:
         raise ValueError(f"mc_conditional must be >= 100, got {mc_conditional}")
 

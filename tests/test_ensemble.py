@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -56,7 +57,7 @@ def test_uniform_centered_matches_sigma():
 
 @pytest.mark.parametrize("kwargs", [
     dict(p=0, n=5), dict(p=5, n=0), dict(p=5, n=5, sigma=0.0),
-    dict(p=5, n=5, entry_law="cauchy"),
+    dict(p=5, n=5, entry_law="cauchy"), dict(p=5, n=5, sigma=np.inf),
 ])
 def test_sampling_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
@@ -336,6 +337,21 @@ def test_indicator_xi_does_not_move_under_power_of_two_scaling(k):
     got = R._kernel_row_means(np.ldexp(W.astype(float), k),
                               np.ldexp(partner.astype(float), k), K, block=700)
     assert np.array_equal(got, xi)
+
+
+@pytest.mark.parametrize("n", [50, 1500], ids=["one_tile", "tiles"])
+def test_infinite_radius_indicator_is_the_constant_kernel(n):
+    # 1 everywhere, formed as a smooth kernel's tile: the float32 margin
+    # operands of an infinite radius would not be finite and warn
+    X = sample_data_matrix(20, n, seed=3)
+    K = KernelSpec(variant="indicator", dimension=20, radius=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = covariance_and_stream(X, K)
+        xi = R.xi_conditional(X, K)
+    want = covariance_and_stream(X, KernelSpec(variant="constant", dimension=20))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(xi, np.ones(n))
 
 
 @pytest.mark.parametrize("block", [2048, 700, 64])

@@ -165,7 +165,8 @@ def test_config_with_bad_grid_is_invalid(tmp_path, grid):
     ("kernel.variant = gaussian\nkernel.tau = nan", "tau"),
     ("kernel.variant = gaussian\nkernel.tau = inf", "tau"),
     ("sigma = nan", "sigma"),
-], ids=["beta", "z_alpha", "radius", "tau_nan", "tau_inf", "sigma"])
+    ("sigma = inf", "sigma"),
+], ids=["beta", "z_alpha", "radius", "tau_nan", "tau_inf", "sigma", "sigma_inf"])
 def test_cli_simulate_rejects_bad_kernel_parameters_before_writing(
         tmp_path, capsys, kernel, name):
     path = tmp_path / "bad.cfg"
@@ -523,7 +524,8 @@ def test_diagnostics_reductions_rejects_unbuildable_kernels(tmp_path, variant):
     ({"p_list": (5,), "n_list": (1,)}, "n >= 2"),
     ({"sigma": -1.0}, "sigma"),
     ({"mc_conditional": 50}, "mc_conditional"),
-], ids=["p", "n", "sigma", "mc_conditional"])
+    ({"sigma": math.inf}, "sigma"),
+], ids=["p", "n", "sigma", "mc_conditional", "sigma_inf"])
 def test_diagnostics_reductions_checks_inputs_before_making_its_directory(
         tmp_path, kw, match):
     # checked before any case runs on the pool, and before out_dir is made
@@ -771,13 +773,38 @@ def test_cli_law_rejects_bad_grid(tmp_path, law_type, grid):
     assert not out.exists()
 
 
+def _exit_code(argv):
+    """cli.main's exit code, also when argparse exits on a usage error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("args", [["--sizes", "100"],
                                   ["--sizes", "40:100", "--seeds", "0"],
-                                  ["--sizes", "40:100", "--seeds", "-2"]])
+                                  ["--sizes", "40:100", "--seeds", "-2"],
+                                  ["--sizes", "100:,200:500"]])
 def test_cli_diagnostics_rejects_bad_input(tmp_path, args):
     out = tmp_path / "diag"
-    assert cli.main(["diagnostics", *args, "--out", str(out)]) == 2
+    assert _exit_code(["diagnostics", *args, "--out", str(out)]) == 2
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figure1", "--betas", "0.1,,0.3"],
+     "argument --betas: entry 2 of '0.1,,0.3' is not a number: ''"),
+    (["figure2", "--taus", "0.1,,0.3"],
+     "argument --taus: entry 2 of '0.1,,0.3' is not a number: ''"),
+    (["diagnostics", "--sizes", "100:,200:500"],
+     "argument --sizes: entry 1 of '100:,200:500' is not a p:n pair of "
+     "integers: '100:'"),
+], ids=["betas", "taus", "sizes"])
+def test_cli_names_a_bad_list_entry(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert _exit_code([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_genmp_law_matches_run_experiment(tmp_path):
