@@ -19,7 +19,9 @@ def build_parser():
         description="Simulate kernel-truncated covariance spectra and compare "
                     "them with their predicted limiting laws.")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel trial workers, at least 1 (default 1)")
+                        help="trials with n > 1024 run at once, at least 1 "
+                             "(default 1); trials with n <= 1024 run on up to "
+                             "as many workers as OpenBLAS has threads")
     parser.add_argument("--check", action="store_true",
                         help="apply acceptance thresholds; exit 4 on breach")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -214,15 +214,17 @@ def _walk(n, block=BLOCK):
 
 
 @contextlib.contextmanager
-def _pool():
+def _pool(most=None):
     """Gives workers(fn, make, items), which runs fn(state, item) for each of
-    the items on as many worker threads as OpenBLAS had threads on entry and
-    yields the results in item order, with OpenBLAS on one thread until the
-    last pool inside, on any thread, leaves (on error too); without
-    OpenBLAS's setter, on one worker and nothing pinned. Each task borrows
-    one of up to that many states, all made by make() on the calling thread
-    first: made on the workers, their buffers left the peak RSS of a 400 x
-    20000 stream 1-7 MB higher, and varying.
+    the items on as many worker threads as OpenBLAS had threads on entry, or
+    on `most` if that is fewer (at least one), and yields the results in
+    item order, with OpenBLAS on one thread until the last pool inside, on
+    any thread, leaves (on error too); without OpenBLAS's setter, on one
+    worker and nothing pinned. An error in the `with` body cancels the
+    tasks not yet started; those running finish before the pin is lifted.
+    Each task borrows one of up to that many states, all made by make() on
+    the calling thread first: made on the workers, their buffers left the
+    peak RSS of a 400 x 20000 stream 1-7 MB higher, and varying.
     """
     blas = _openblas_threads()
     with _PIN:
@@ -230,7 +232,8 @@ def _pool():
             _pinned["threads"] = blas[0]()
             blas[1](1)
         _pinned["callers"] += 1
-        threads = _pinned["threads"]
+        threads = _pinned["threads"] if most is None \
+            else max(1, min(most, _pinned["threads"]))
 
     def workers(fn, make, items):
         states = queue.SimpleQueue()
@@ -246,10 +249,14 @@ def _pool():
 
         return pool.map(task, items)
 
+    pool = ThreadPoolExecutor(threads)
     try:
-        with ThreadPoolExecutor(threads) as pool:
-            yield workers
+        yield workers
+    except BaseException:
+        pool.shutdown(cancel_futures=True)  # tasks not yet started never run
+        raise
     finally:
+        pool.shutdown()
         with _PIN:
             _pinned["callers"] -= 1
             if blas and not _pinned["callers"]:

@@ -218,11 +218,22 @@ def select_prediction(config: ExperimentConfig, kernel=None):
 # Experiment runner
 # ---------------------------------------------------------------------------
 
+# the peak bytes one trial adds, about: its X, its M and the eigensolve's
+# three p x p copies, and its tile buffers (within 35% of the peak RSS one
+# trial added alone, from 200x500 to 3000x1000)
+def _trial_bytes(p, n):
+    return 8 * (p * n + 4 * p * p) + 2**23
+
+
+# the pooled trials (n <= BLOCK) in flight at once hold at most about this
+# many bytes, or run one at a time
+_TRIALS_BYTES = 2**28
+
+
 def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
-    # the walk of a stream of more than one tile pins BLAS to one thread, for
-    # every thread of the process, while it runs; the trial runs whole inside
-    # a walk of its n, so that its eigensolve does not run on one BLAS thread
-    # or on all of them by whether another trial thread is inside its stream
+    # a trial runs whole under the OpenBLAS pin, so its eigensolve runs on
+    # one BLAS thread whatever other trials do: as a task of `_simulate`'s
+    # `_pool()` for n <= BLOCK, inside the pool of its own walk above it
     with ensemble._walk(config.n):
         seed = ensemble.derive_seed(config.master_seed, t)
         X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
@@ -239,6 +250,49 @@ def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
     return lam
 
 
+def _simulate(runs, threads):
+    """The prediction (law, law_params) and the per-trial eigenvalues of
+    each (config, kernel) of `runs`, in run order.
+
+    With every n <= ensemble.BLOCK, the trials of all runs are the tasks of
+    one `ensemble._pool()`, each on one BLAS thread: as many at once as
+    OpenBLAS had threads, but no more than _TRIALS_BYTES holds by
+    _trial_bytes, and at least one. The calling thread builds the laws
+    meanwhile; a semi_high_dim run's comes first, since its trials centre
+    by alpha_p. With a larger n, the laws come first and `threads` trials
+    run at once, each streaming on its own pool."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    first = [select_prediction(c, kernel=K) if c.regime == "semi_high_dim" else None
+             for c, K in runs]
+    tasks = [(c, K, pred and pred[1]["alpha_p"], t)
+             for (c, K), pred in zip(runs, first) for t in range(c.trials)]
+
+    def trial(_, task):
+        return _trial_eigenvalues(*task)
+
+    def predict():
+        return [pred or select_prediction(c, kernel=K)
+                for pred, (c, K) in zip(first, runs)]
+
+    if max(c.n for c, _ in runs) <= ensemble.BLOCK:
+        most = _TRIALS_BYTES // max(_trial_bytes(c.p, c.n) for c, _ in runs)
+        with ensemble._pool(most) as workers:
+            eigs = workers(trial, lambda: None, tasks)
+            predictions = predict()
+            eigs = list(eigs)
+    else:
+        predictions = predict()
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                eigs = list(pool.map(lambda task: trial(None, task), tasks))
+        else:
+            eigs = [trial(None, task) for task in tasks]
+    done = iter(eigs)
+    return [(pred, [next(done) for _ in range(c.trials)])
+            for pred, (c, _) in zip(predictions, runs)]
+
+
 def run_experiment(config: ExperimentConfig, threads=1, check=False,
                    write_artifacts=True, kernel=None):
     """Run the configured seeded trials, compare the pooled ESD with the
@@ -246,27 +300,27 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
 
     A semi_high_dim report adds the predicted finite-size mean shift and the
     KS against the shifted semicircle; with check=True a report holds the
-    verdict of check_verdict. `threads` trials run at once; it must be >= 1.
+    verdict of check_verdict.
+
+    Every trial runs with OpenBLAS on one thread, as `_simulate` says: with
+    n <= ensemble.BLOCK on the pinned pool, whatever `threads` is, and with
+    a larger n `threads` at once. `threads` must be >= 1 either way, and no
+    byte depends on it or on the BLAS thread count.
 
     `kernel` overrides the config-derived KernelSpec (custom kernels); any
     other kernel must equal config.kernel(). The returned report also holds
     the pooled spectrum and the predicted law object."""
     config.validate()
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.perf_counter()
     K = kernel if kernel is not None else config.kernel()
-    law, law_params = select_prediction(config, kernel=K)
-    alpha = law_params.get("alpha_p")
+    [(prediction, eigs)] = _simulate([(config, K)], threads)
+    return _score(config, K, prediction, eigs, t0, check, write_artifacts)
 
-    indices = list(range(config.trials))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            eigs = list(pool.map(
-                lambda t: _trial_eigenvalues(config, K, alpha, t), indices))
-    else:
-        eigs = [_trial_eigenvalues(config, K, alpha, t) for t in indices]
 
+def _score(config, K, prediction, eigs, t0, check, write_artifacts):
+    """run_experiment's report of a config's trial eigenvalues `eigs`
+    against its prediction, with runtime_seconds counted from t0."""
+    law, law_params = prediction
     trial_specs = [spectra.esd(e) for e in eigs]
     pooled = spectra.esd(np.concatenate(eigs))
 
@@ -408,15 +462,19 @@ def figure2(p=200, n=500, sigma=1.0, taus=(0.4, 0.7, 1.0, 1.3), seed=0,
 def _sweep(runs, out_dir, prefix, overlay, threads, check, **common):
     """Run each (tag, kernel settings) of `runs` into out_dir/<prefix><tag>,
     with the plain MP(c, sigma^2) on its default grid beside its law.csv.
-    Every config is validated before the first run, so an invalid one
-    leaves no file."""
+    The trials of all runs share one `_simulate`, and every config is
+    validated and every law built before the first file is written, so an
+    invalid config or a law that fails leaves no file. A report's
+    runtime_seconds counts from the start of the sweep."""
     out = Path(out_dir)
     configs = [(tag, ExperimentConfig(output_dir=str(out / f"{prefix}{tag}"),
                                       **common, **settings).validate())
                for tag, settings in runs]
+    t0 = time.perf_counter()
+    simulated = _simulate([(cfg, cfg.kernel()) for _, cfg in configs], threads)
     reports = {}
-    for tag, cfg in configs:
-        reports[tag] = run_experiment(cfg, threads=threads, check=check)
+    for (tag, cfg), (prediction, eigs) in zip(configs, simulated):
+        reports[tag] = _score(cfg, cfg.kernel(), prediction, eigs, t0, check, True)
         c, scale = cfg.p / cfg.n, cfg.sigma**2
         write_law_csv(Path(cfg.output_dir) / overlay, laws.MPLaw(c=c, scale=scale),
                       laws.law_grid(None, None, 400, c, scale))

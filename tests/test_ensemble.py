@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -547,6 +548,31 @@ def test_pooled_walk_yields_in_item_order_when_a_later_item_finishes_first():
     # the worker that ran item 1 may take and finish item 2 before item 0
     # wakes, so only the order of items 1 and 0 is fixed
     assert finished.index(1) < finished.index(0) and got == [0, 1, 2]
+
+
+def test_pool_error_in_the_body_cancels_the_tasks_not_started():
+    # the caller fails while two workers each hold their first item: the
+    # other items never run, and the pin is lifted after the two finish
+    before = _blas_threads()
+    put = R._openblas_threads()[1]
+    ran = []
+
+    def fn(state, item):
+        ran.append(item)
+        time.sleep(0.2)
+        return item
+
+    try:
+        put(2)
+        with pytest.raises(RuntimeError, match="caller"):
+            with R._pool() as workers:
+                workers(fn, object, range(20))
+                raise RuntimeError("caller failed")
+        after = _blas_threads()
+    finally:
+        put(before)
+    assert after == 2
+    assert len(ran) <= 2
 
 
 def test_symmetric_indicator_tiles_share_their_vectors():

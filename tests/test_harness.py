@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -306,26 +307,159 @@ def test_multi_tile_trials_write_the_same_bytes_at_any_trial_threads(tmp_path):
     assert snapshot(1) == snapshot(2) == snapshot(2)
 
 
-def test_same_seed_and_blas_threads_give_the_same_bytes(tmp_path):
-    # the determinism contract: the same seed, BLAS build and BLAS thread
-    # count give the same bytes, here from two processes on one BLAS thread
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    runs = []
-    for side in ("a", "b"):
-        (tmp_path / side).mkdir()
-        (tmp_path / side / "exp.cfg").write_text(
-            "p = 100\nn = 250\ntrials = 4\nmaster_seed = 3\nkernel.variant = indicator\n"
-            "kernel.z_alpha = 0.0\noutput_dir = run\n")
-        subprocess.run([sys.executable, "-m", "rmtlab.cli", "simulate", "--config",
-                        "exp.cfg"], cwd=tmp_path / side, env=env, check=True,
-                       capture_output=True)
-        out = tmp_path / side / "run"
-        report = json.loads((out / "report.json").read_text())
-        report.pop("runtime_seconds")
-        runs.append(((out / "histogram.csv").read_bytes(),
-                     (out / "law.csv").read_bytes(), report))
-    assert runs[0] == runs[1]
+def test_same_seed_gives_the_same_bytes_at_any_blas_and_trial_threads(tmp_path):
+    # the determinism contract: every trial of run_experiment runs on one
+    # BLAS thread, so a 200x500 indicator run gives the same bytes from four
+    # processes, under 1 and 2 BLAS threads and at --threads 1 and 2
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    digests = set()
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            side = tmp_path / f"blas{blas}_threads{threads}"
+            side.mkdir()
+            (side / "exp.cfg").write_text(
+                "p = 200\nn = 500\ntrials = 5\nmaster_seed = 3\n"
+                "kernel.variant = indicator\nkernel.beta = 0.1\noutput_dir = run\n")
+            subprocess.run([sys.executable, "-m", "rmtlab.cli", "--threads", threads,
+                            "simulate", "--config", "exp.cfg"], cwd=side,
+                           env={**env, "OPENBLAS_NUM_THREADS": blas}, check=True,
+                           capture_output=True)
+            out = side / "run"
+            report = json.loads((out / "report.json").read_text())
+            report.pop("runtime_seconds")
+            digests.add(hashlib.sha256(
+                (out / "histogram.csv").read_bytes() + (out / "law.csv").read_bytes()
+                + json.dumps(report, sort_keys=True).encode()).hexdigest())
+    assert len(digests) == 1
+
+
+def test_small_trials_run_on_pinned_workers_at_any_trial_threads(tmp_path):
+    # n <= BLOCK: every trial is a task of the pinned pool, on a worker with
+    # BLAS on one thread, whatever `threads` is; on one worker, or on four
+    # with a short switch interval, the pooled eigenvalues are the same and
+    # the thread count is restored
+    get, put = _openblas_or_skip()
+    before, switch, seen = get(), sys.getswitchinterval(), []
+
+    def profile(sq):
+        seen.append((threading.current_thread(), get()))
+        return np.exp(-sq / 80.0)
+
+    K = ensemble.KernelSpec(variant="custom", dimension=20, profile=profile,
+                            alpha_limit=1.0)
+    cfg = _cfg(tmp_path, p=20, n=60, trials=6)
+
+    def eigenvalues(threads):
+        report = harness.run_experiment(cfg, threads=threads, kernel=K,
+                                        write_artifacts=False)
+        return report["pooled_spectrum"].eigenvalues.tobytes()
+
+    try:
+        put(1)
+        one = eigenvalues(1)
+        put(4)
+        sys.setswitchinterval(1e-5)
+        four = [eigenvalues(threads) for threads in (1, 2)]
+        after = get()
+    finally:
+        put(before)
+        sys.setswitchinterval(switch)
+    assert four == [one, one] and after == 4
+    assert seen and all(t is not threading.current_thread() and count == 1
+                        for t, count in seen)
+
+
+def test_error_in_one_pooled_trial_reaches_the_caller_and_restores_blas(
+        tmp_path, monkeypatch):
+    get, put = _openblas_or_skip()
+    before = get()
+    cfg = _cfg(tmp_path, p=60, n=150, trials=4)
+    failing_seed = ensemble.derive_seed(cfg.master_seed, 2)
+    truncated_covariance = ensemble.truncated_covariance
+
+    def failing(X, *args):
+        if X.seed == failing_seed:
+            raise FloatingPointError("trial 2 failed")
+        return truncated_covariance(X, *args)
+
+    monkeypatch.setattr(ensemble, "truncated_covariance", failing)
+    try:
+        put(2)
+        with pytest.raises(FloatingPointError, match="trial 2"):
+            harness.run_experiment(cfg)
+        after = get()
+    finally:
+        put(before)
+    assert after == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fit, most", [(2, 2), (0, 1)], ids=["two_fit", "none_fit"])
+def test_pooled_trials_in_flight_fit_the_byte_budget(tmp_path, monkeypatch, fit, most):
+    # four BLAS threads, but only `fit` trials fit in _TRIALS_BYTES: no more
+    # than `most` trials run at once, and the bytes are those of one worker
+    get, put = _openblas_or_skip()
+    before, lock, state = get(), threading.Lock(), {"now": 0, "peak": 0}
+    truncated_covariance = ensemble.truncated_covariance
+
+    def counted(X, *args):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        try:
+            threading.Event().wait(0.05)
+            return truncated_covariance(X, *args)
+        finally:
+            with lock:
+                state["now"] -= 1
+
+    cfg = _cfg(tmp_path, p=30, n=80, trials=6)
+    monkeypatch.setattr(ensemble, "truncated_covariance", counted)
+    try:
+        put(1)
+        one = harness.run_experiment(cfg, write_artifacts=False)
+        monkeypatch.setattr(harness, "_TRIALS_BYTES", fit * harness._trial_bytes(30, 80))
+        put(4)
+        state["peak"] = 0
+        capped = harness.run_experiment(cfg, write_artifacts=False)
+        after = get()
+    finally:
+        put(before)
+    assert (state["peak"], after) == (most, 4)
+    assert capped["pooled_spectrum"].eigenvalues.tobytes() \
+        == one["pooled_spectrum"].eigenvalues.tobytes()
+
+
+def test_sweep_trials_share_one_pool_and_give_the_same_bytes_at_any_blas_threads(
+        tmp_path):
+    # figure2's four one-trial runs are tasks of one pinned pool: the same
+    # bytes on one BLAS thread and on two
+    get, put = _openblas_or_skip()
+    before = get()
+
+    def snapshot(threads):
+        out = tmp_path / f"blas{threads}"
+        put(threads)
+        harness.figure2(trials=1, out_dir=str(out))
+        return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*.csv"))}
+
+    try:
+        one, two = snapshot(1), snapshot(2)
+    finally:
+        put(before)
+    assert len(one) == 12 and one == two
+
+
+def test_sweep_law_failure_leaves_no_file(tmp_path, monkeypatch):
+    # every law of a sweep is built before its first file is written, so a
+    # genMP solve that fails after the constant kernel's run leaves nothing
+    def boom(*args, **kwargs):
+        raise laws.SolverError("forced")
+
+    monkeypatch.setattr(laws, "solve_stieltjes_grid", boom)
+    with pytest.raises(laws.SolverError):
+        harness.figure1(p=20, n=50, betas=(math.inf, 0.1), out_dir=str(tmp_path / "f1"))
+    assert not (tmp_path / "f1").exists()
 
 
 def test_run_experiment_check_breach_flag(tmp_path, monkeypatch):
@@ -432,17 +566,20 @@ def test_figure_sweep_checks_every_run_before_writing(tmp_path, figure, kw, matc
 
 
 def test_artifact_digest_of_figure1_is_the_same_in_any_directory(tmp_path):
+    # each report.json echoes its absolute output_dir; DIR given absolute,
+    # or relative from two working directories, masks it all the same
     tool = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
-    digests = []
     for name in ("a", "somewhere_else"):
-        out = tmp_path / name
         harness.figure1(p=20, n=50, betas=(0.1, math.inf), trials=2,
-                        out_dir=str(out))
-        digests.append(subprocess.run([sys.executable, str(tool), str(out)],
-                                      check=True, capture_output=True,
-                                      text=True).stdout.splitlines())
+                        out_dir=str(tmp_path / name))
+    digests = [subprocess.run([sys.executable, str(tool), arg], cwd=cwd, check=True,
+                              capture_output=True, text=True).stdout.splitlines()
+               for arg, cwd in ((str(tmp_path / "a"), tmp_path),
+                                (str(tmp_path / "somewhere_else"), tmp_path),
+                                ("a", tmp_path),
+                                ("../somewhere_else", tmp_path / "a"))]
     assert len(digests[0]) == 8
-    assert digests[0] == digests[1]
+    assert all(d == digests[0] for d in digests)
 
 
 def test_figure2_narrow_bandwidth_tracks_prediction(tmp_path):
@@ -738,6 +875,38 @@ def test_cli_solver_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(laws, "solve_stieltjes_grid", boom)
     out = tmp_path / "law.csv"
     assert cli.main(["law", "--type", "genmp", "--out", str(out)]) == 3
+
+
+def test_cli_law_failure_while_trials_run_exits_3_and_restores_blas(
+        tmp_path, monkeypatch, capsys):
+    # the genMP solve fails on the calling thread once a trial has started
+    # on the pool: exit 3, nothing printed or written, BLAS as before
+    get, put = _openblas_or_skip()
+    before, started = get(), threading.Event()
+    truncated_covariance = ensemble.truncated_covariance
+
+    def traced(X, *args):
+        started.set()
+        return truncated_covariance(X, *args)
+
+    def boom(*args, **kwargs):
+        assert started.wait(10)
+        raise laws.SolverError("forced")
+
+    monkeypatch.setattr(ensemble, "truncated_covariance", traced)
+    monkeypatch.setattr(laws, "solve_stieltjes_grid", boom)
+    path = tmp_path / "ind.cfg"
+    path.write_text("p = 60\nn = 150\ntrials = 4\nkernel.variant = indicator\n"
+                    f"kernel.z_alpha = 0.0\noutput_dir = {tmp_path / 'cli_out'}\n")
+    try:
+        put(2)
+        code = cli.main(["simulate", "--config", str(path)])
+        after = get()
+    finally:
+        put(before)
+    assert (code, after) == (3, 2)
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "cli_out").exists()
 
 
 def test_cli_linalg_failure_exit_code(monkeypatch):

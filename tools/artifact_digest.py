@@ -5,11 +5,13 @@ the outputs of two runs can be compared with diff.
 
 Before a file is hashed, every line holding the JSON key "runtime_seconds"
 (wall time, which differs between runs) is dropped, and every occurrence of
-PREFIX (default: DIR) is replaced by "<out>", so that a report echoing the
-directory it was written to hashes the same in any directory.
+PREFIX (default: the absolute path of DIR, however DIR is given) is replaced
+by "<out>", so that a report echoing the directory it was written to hashes
+the same in any directory.
 """
 
 import hashlib
+import os
 import re
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ RUNTIME = re.compile(rb'^[ \t]*"runtime_seconds": [^\n]*\n', re.MULTILINE)
 
 
 def digest(root, prefix=None):
-    root = Path(root)
+    root = Path(os.path.abspath(root))
     prefix = str(root if prefix is None else prefix).encode()
     lines = []
     for path in root.rglob("*"):
