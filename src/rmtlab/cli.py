@@ -20,8 +20,8 @@ def build_parser():
                     "them with their predicted limiting laws.")
     parser.add_argument("--threads", type=int, default=1,
                         help="trials with n > 1024 run at once, at least 1 "
-                             "(default 1); trials with n <= 1024 run on up to "
-                             "as many workers as OpenBLAS has threads")
+                             "(default 1); trials of any n run at most as many "
+                             "at once as OpenBLAS has threads")
     parser.add_argument("--check", action="store_true",
                         help="apply acceptance thresholds; exit 4 on breach")
     sub = parser.add_subparsers(dest="command", required=True)

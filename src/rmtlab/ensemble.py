@@ -165,8 +165,9 @@ _REDECIDE_BATCH = 1024
 
 _U32 = 2.0**-24  # unit roundoff of float32
 
-# the default block: a stream of more than BLOCK columns runs on `_pool()`;
-# every walk's tiles are `_side(BLOCK)` = 512 wide
+# the default block: a stream of more than BLOCK columns runs on `_pool()`'s
+# workers, one of at most BLOCK on the calling thread; every walk's tiles are
+# `_side(BLOCK)` = 512 wide
 BLOCK = 1024
 
 # OpenBLAS thread count pinned by `_pool`: the pools inside, and the count on
@@ -202,29 +203,19 @@ def _serial(fn, make, items):
 
 
 @contextlib.contextmanager
-def _walk(n, block=BLOCK):
-    """The walk of a stream over n columns: gives workers(fn, make, items),
-    the results of fn(state, item) for each of the items, in item order:
-    `_serial` for n <= block, else `_pool()`'s."""
-    if n <= block:
-        yield _serial
-        return
-    with _pool() as workers:
-        yield workers
-
-
-@contextlib.contextmanager
 def _pool(most=None):
     """Gives workers(fn, make, items), which runs fn(state, item) for each of
     the items on as many worker threads as OpenBLAS had threads on entry, or
     on `most` if that is fewer (at least one), and yields the results in
     item order, with OpenBLAS on one thread until the last pool inside, on
-    any thread, leaves (on error too); without OpenBLAS's setter, on one
-    worker and nothing pinned. An error in the `with` body cancels the
-    tasks not yet started; those running finish before the pin is lifted.
-    Each task borrows one of up to that many states, all made by make() on
-    the calling thread first: made on the workers, their buffers left the
-    peak RSS of a 400 x 20000 stream 1-7 MB higher, and varying.
+    any thread, leaves (on error too). A pool of one worker (`most` = 1,
+    OpenBLAS on one thread, or no OpenBLAS setter, which pins nothing) is
+    `_serial`, on the calling thread as its results are read. An error in
+    the `with` body cancels the tasks not yet started; those running finish
+    before the pin is lifted. Each task borrows one of up to that many
+    states, all made by make() on the calling thread first: made on the
+    workers, their buffers left the peak RSS of a 400 x 20000 stream 1-7 MB
+    higher, and varying.
     """
     blas = _openblas_threads()
     with _PIN:
@@ -249,14 +240,16 @@ def _pool(most=None):
 
         return pool.map(task, items)
 
-    pool = ThreadPoolExecutor(threads)
+    pool = ThreadPoolExecutor(threads) if threads > 1 else None
     try:
-        yield workers
+        yield workers if pool else _serial
     except BaseException:
-        pool.shutdown(cancel_futures=True)  # tasks not yet started never run
+        if pool:
+            pool.shutdown(cancel_futures=True)  # tasks not yet started never run
         raise
     finally:
-        pool.shutdown()
+        if pool:
+            pool.shutdown()
         with _PIN:
             _pinned["callers"] -= 1
             if blas and not _pinned["callers"]:
@@ -287,14 +280,12 @@ def _stream(X: DataMatrix, K: KernelSpec, block, workers):
     and zero diagonal taken in one place (`_Tiles.row_block`).
 
     The tiles are ceil(block / 2) wide (`_side`), one for n up to that. Each
-    row block is one item of `_walk(n, block)`'s `workers`, which returns its
-    degree contributions and W_I V_I; these are added into deg and S in
-    row-block order. For n <= block the row blocks run on the caller's
-    thread and BLAS threads. Above it each task borrows one of the workers'
-    sets of tile, operands and panels (`_Tiles`), and BLAS runs on one
-    thread, so every bit is the same for any number of workers or BLAS
-    threads. Memory beyond X: O(p^2 + p block + block^2), per worker above
-    n = block.
+    row block is one item of `workers` (`_pool`'s), which returns its degree
+    contributions and W_I V_I; these are added into deg and S in row-block
+    order. Each task borrows one of the workers' sets of tile, operands and
+    panels (`_Tiles`), and BLAS runs on one thread, so every bit is the same
+    for any number of workers or BLAS threads. Memory beyond X: O(p^2 + p
+    block + block^2) per worker.
     """
     W, n = X.entries, X.n
     sqn = np.einsum("ij,ij->j", W, W)
@@ -498,8 +489,8 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=BLOCK):
     deg and W A W^T come from the stream's row panels (`_stream`); W diag(deg)
     W^T is formed one GEMM per block of output rows (`_weighted_gram`): no
     p x n temporary. Memory beyond X is O(p^2 + p block + block^2): one
-    512 x 512 tile at the default block and its panels during the stream
-    (per worker for n > block), then one block of output rows.
+    512 x 512 tile at the default block and its panels per worker during
+    the stream, then one block of output rows per worker.
     """
     return covariance_and_stream(X, K, block)[0]
 
@@ -507,15 +498,15 @@ def truncated_covariance(X: DataMatrix, K: KernelSpec, block=BLOCK):
 def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=BLOCK):
     """`truncated_covariance` M with the degrees and W A W^T of the
     stream (`_stream`) it is formed from: (M, deg, W A W^T). Both the
-    stream and W diag(deg) W^T run on one `_walk(n, block)`: on the
-    caller's thread for n <= block, else on worker threads with BLAS on one
-    thread. W diag(deg) W^T's buffers are made after the stream's are
-    freed."""
+    stream and W diag(deg) W^T run on one `_pool()` with BLAS on one
+    thread: on the calling thread for n <= block, else on as many workers
+    as BLAS had threads, so every bit is the same at any BLAS thread count.
+    W diag(deg) W^T's buffers are made after the stream's are freed."""
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    with _walk(X.n, block) as workers:
+    with _pool(1 if X.n <= block else None) as workers:
         deg, xaxt = _stream(X, K, block, workers)
         M = _weighted_gram(X.entries, deg, block, workers)
     M -= xaxt
@@ -534,8 +525,9 @@ def _row_blocks(p, n, block):
 
 def _weighted_gram(W, v, block=BLOCK, workers=_serial):
     """W diag(v) W^T, one GEMM (W[rows] * v) W^T per block of output rows.
-    Each block is one item of `workers` (`_walk`), which writes its own rows
-    of the result, its product W[rows] * v in one of the workers' buffers.
+    Each block is one item of `workers` (`_pool`'s, or `_serial` on the
+    caller's BLAS threads), which writes its own rows of the result, its
+    product W[rows] * v in one of the workers' buffers.
 
     A blocked BLAS GEMM sums each output entry over the inner dimension in
     an order that does not depend on how many rows it is asked for (Goto

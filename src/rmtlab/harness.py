@@ -5,7 +5,6 @@
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -58,9 +57,11 @@ class ExperimentConfig:
         if self.regime == "semi_high_dim" and self.p**2 <= self.n:
             raise ValueError(
                 f"semi_high_dim regime requires p^2 > n (got p={self.p}, n={self.n})")
-        if self.kernel_tau is not None and self.kernel_variant != "gaussian":
-            raise ValueError("kernel.tau applies only to the gaussian kernel, "
-                             f"not to {self.kernel_variant!r}")
+        for key, variant in (("tau", "gaussian"), ("radius", "indicator"),
+                             ("beta", "indicator"), ("z_alpha", "indicator")):
+            if self.kernel_variant != variant and getattr(self, f"kernel_{key}") is not None:
+                raise ValueError(f"kernel.{key} applies only to the {variant} kernel, "
+                                 f"not to {self.kernel_variant!r}")
         self.kernel()  # raises on inconsistent kernel parameters
         return self
 
@@ -231,19 +232,17 @@ _TRIALS_BYTES = 2**28
 
 
 def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
-    # a trial runs whole under the OpenBLAS pin, so its eigensolve runs on
-    # one BLAS thread whatever other trials do: as a task of `_simulate`'s
-    # `_pool()` for n <= BLOCK, inside the pool of its own walk above it
-    with ensemble._walk(config.n):
-        seed = ensemble.derive_seed(config.master_seed, t)
-        X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
-                                        config.sigma, seed)
-        if config.regime == "semi_high_dim":
-            # the semi-high-dimensional centering E = sqrt(n/p) (M - alpha sigma^2 I)
-            return spectra.symmetric_eigenvalues(
-                np.sqrt(config.n / config.p) * (ensemble.truncated_covariance(X, K)
-                                                - alpha * config.sigma**2 * np.eye(config.p)))
-        lam = spectra.symmetric_eigenvalues(ensemble.truncated_covariance(X, K))
+    # a task of `_simulate`'s pool, so the whole trial, its eigensolve too,
+    # runs on one BLAS thread whatever other trials do
+    seed = ensemble.derive_seed(config.master_seed, t)
+    X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
+                                    config.sigma, seed)
+    if config.regime == "semi_high_dim":
+        # the semi-high-dimensional centering E = sqrt(n/p) (M - alpha sigma^2 I)
+        return spectra.symmetric_eigenvalues(
+            np.sqrt(config.n / config.p) * (ensemble.truncated_covariance(X, K)
+                                            - alpha * config.sigma**2 * np.eye(config.p)))
+    lam = spectra.symmetric_eigenvalues(ensemble.truncated_covariance(X, K))
     # M is PSD with rank <= n - 1: snap its round-off zeros (p > n) onto the
     # law's atom at 0; eigenvalues further below 0 stay visible
     lam[np.abs(lam) <= config.p * np.finfo(float).eps * np.abs(lam).max()] = 0.0
@@ -254,40 +253,26 @@ def _simulate(runs, threads):
     """The prediction (law, law_params) and the per-trial eigenvalues of
     each (config, kernel) of `runs`, in run order.
 
-    With every n <= ensemble.BLOCK, the trials of all runs are the tasks of
-    one `ensemble._pool()`, each on one BLAS thread: as many at once as
-    OpenBLAS had threads, but no more than _TRIALS_BYTES holds by
-    _trial_bytes, and at least one. The calling thread builds the laws
-    meanwhile; a semi_high_dim run's comes first, since its trials centre
-    by alpha_p. With a larger n, the laws come first and `threads` trials
-    run at once, each streaming on its own pool."""
+    The trials of all runs are the tasks of one `ensemble._pool()`, each on
+    one BLAS thread, so no byte depends on how many run at once: with every
+    n <= ensemble.BLOCK as many as OpenBLAS had threads, but no more than
+    _TRIALS_BYTES holds by _trial_bytes; with a larger n at most `threads`,
+    each streaming on its own pool. The calling thread builds the laws
+    meanwhile, or first when the pool has one worker; a semi_high_dim run's
+    comes first, since its trials centre by alpha_p."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     first = [select_prediction(c, kernel=K) if c.regime == "semi_high_dim" else None
              for c, K in runs]
     tasks = [(c, K, pred and pred[1]["alpha_p"], t)
              for (c, K), pred in zip(runs, first) for t in range(c.trials)]
-
-    def trial(_, task):
-        return _trial_eigenvalues(*task)
-
-    def predict():
-        return [pred or select_prediction(c, kernel=K)
-                for pred, (c, K) in zip(first, runs)]
-
-    if max(c.n for c, _ in runs) <= ensemble.BLOCK:
-        most = _TRIALS_BYTES // max(_trial_bytes(c.p, c.n) for c, _ in runs)
-        with ensemble._pool(most) as workers:
-            eigs = workers(trial, lambda: None, tasks)
-            predictions = predict()
-            eigs = list(eigs)
-    else:
-        predictions = predict()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                eigs = list(pool.map(lambda task: trial(None, task), tasks))
-        else:
-            eigs = [trial(None, task) for task in tasks]
+    most = _TRIALS_BYTES // max(_trial_bytes(c.p, c.n) for c, _ in runs) \
+        if max(c.n for c, _ in runs) <= ensemble.BLOCK else threads
+    with ensemble._pool(most) as workers:
+        eigs = workers(lambda _, task: _trial_eigenvalues(*task), lambda: None, tasks)
+        predictions = [pred or select_prediction(c, kernel=K)
+                       for pred, (c, K) in zip(first, runs)]
+        eigs = list(eigs)
     done = iter(eigs)
     return [(pred, [next(done) for _ in range(c.trials)])
             for pred, (c, _) in zip(predictions, runs)]
@@ -302,10 +287,10 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
     KS against the shifted semicircle; with check=True a report holds the
     verdict of check_verdict.
 
-    Every trial runs with OpenBLAS on one thread, as `_simulate` says: with
-    n <= ensemble.BLOCK on the pinned pool, whatever `threads` is, and with
-    a larger n `threads` at once. `threads` must be >= 1 either way, and no
-    byte depends on it or on the BLAS thread count.
+    Every trial runs with OpenBLAS on one thread, on the pinned pool of
+    `_simulate`: with n <= ensemble.BLOCK whatever `threads` is, with a
+    larger n at most `threads` (>= 1) at once, and no byte depends on it or
+    on the BLAS thread count.
 
     `kernel` overrides the config-derived KernelSpec (custom kernels); any
     other kernel must equal config.kernel(). The returned report also holds

@@ -31,8 +31,9 @@ class MPLaw:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.scale <= 0:
-            raise ValueError("MPLaw needs c > 0 and scale > 0")
+        if not (0 < self.c < np.inf and 0 < self.scale < np.inf):
+            raise ValueError(f"MPLaw needs finite c > 0 and scale > 0, got c={self.c}, "
+                             f"scale={self.scale}")
 
     @property
     def support(self):
@@ -106,8 +107,8 @@ class SCLaw:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("SCLaw needs variance > 0")
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"SCLaw needs finite variance > 0, got {self.variance}")
 
     @property
     def radius(self):
@@ -206,6 +207,8 @@ def zeta_indicator(z_alpha) -> ZetaDistribution:
     Phi(Z / sqrt(3) + 2 z_alpha / sqrt(3)) with Z ~ N(0, 1), discretized on
     64 Gauss-Hermite nodes.
     """
+    if np.isnan(z_alpha):
+        raise ValueError("z_alpha must be a number, got nan")
     nodes, weights = gauss_hermite_prob(64)
     values = special.ndtr((nodes + 2.0 * z_alpha) / np.sqrt(3.0))
     return ZetaDistribution(values=values, weights=weights)
@@ -499,8 +502,9 @@ class GenMPLaw:
 
     def __post_init__(self):
         c, sigma, zeta = self.c, self.sigma, self.zeta
-        if c <= 0 or sigma <= 0:
-            raise ValueError("GenMPLaw needs c > 0 and sigma > 0")
+        if not (0 < c < np.inf and 0 < sigma < np.inf):
+            raise ValueError(f"GenMPLaw needs finite c > 0 and sigma > 0, got c={c}, "
+                             f"sigma={sigma}")
         sol = solve_stieltjes_grid(self.grid + 1j * INVERSION_HEIGHT, c, sigma, zeta)
         atom = max(0.0, 1.0 - float(zeta.weights[zeta.values > 0].sum()) / c)
         density = stieltjes_invert(lambda z: sol.values + atom / z,

@@ -436,17 +436,44 @@ print(json.dumps(out))
 """
 
 
+def _hashes_at_one_and_two_blas_threads(script):
+    src = str(Path(R.__file__).resolve().parents[1])
+    return [json.loads(subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout)
+        for threads in ("1", "2")]
+
+
 def test_multi_tile_stream_is_the_same_at_any_blas_thread_count():
     # n > block: the row blocks run on as many workers as BLAS had threads,
     # with BLAS on one thread and the sums taken in row-block order, so M,
     # deg and W A W^T hash alike under 1 and 2 BLAS threads; a trial runs
     # its eigensolve under the same pin, so its eigenvalues do too
-    src = str(Path(R.__file__).resolve().parents[1])
-    hashes = [json.loads(subprocess.run(
-        [sys.executable, "-c", _HASH_STREAMS], check=True, capture_output=True, text=True,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout)
-        for threads in ("1", "2")]
-    assert hashes[0] == hashes[1]
+    one, two = _hashes_at_one_and_two_blas_threads(_HASH_STREAMS)
+    assert one == two
+
+
+_HASH_SMALL_STREAMS = """
+import hashlib, json
+from rmtlab import ensemble as R
+out = {}
+for p, n in ((200, 500), (400, 1000)):
+    X = R.sample_data_matrix(p, n, seed=3)
+    for K in (R.KernelSpec(variant="indicator", dimension=p,
+                           radius=R.indicator_radius_from_z_alpha(0.0, 1.0, p)),
+              R.KernelSpec(variant="gaussian", dimension=p, tau=1.0)):
+        out[f"{p}x{n}_{K.variant}"] = [hashlib.sha256(a.tobytes()).hexdigest()
+                                      for a in R.covariance_and_stream(X, K)]
+print(json.dumps(out))
+"""
+
+
+def test_stream_of_at_most_block_columns_is_the_same_at_any_blas_thread_count():
+    # n <= block: a direct call runs on the calling thread with BLAS on one
+    # thread, so its M, deg and W A W^T hash alike under 1 and 2 BLAS
+    # threads (on the caller's BLAS threads they did not)
+    one, two = _hashes_at_one_and_two_blas_threads(_HASH_SMALL_STREAMS)
+    assert len(one) == 4 and one == two
 
 
 def _blas_threads():
@@ -497,33 +524,41 @@ def test_concurrent_streams_on_more_workers_than_cores_keep_their_bits():
 
 def test_nested_pins_keep_the_saved_thread_count():
     before = _blas_threads()
-    with R._walk(R.BLOCK + 1):
+    with R._pool():
         assert (R._pinned["threads"], _blas_threads()) == (before, 1)
-        with R._walk(R.BLOCK + 1):
+        with R._pool():
             assert R._pinned["threads"] == before
         assert _blas_threads() == 1
     assert _blas_threads() == before
 
 
 def test_stream_runs_on_the_caller_or_on_pinned_workers_by_n():
-    # n <= block: the one tile on the calling thread, BLAS threads as they
-    # were; n > block: every tile on a worker, BLAS on one thread; the count
-    # is restored afterwards
+    # BLAS on one thread throughout: n <= block, the one tile on the calling
+    # thread; n > block, every tile on a worker of a two-worker pool, or on
+    # the calling thread when BLAS had one thread; the count is restored
     before = _blas_threads()
-    get, seen = R._openblas_threads()[0], []
+    get, put = R._openblas_threads()
+    seen = []
 
     def profile(sq):
         seen.append((threading.current_thread(), get()))
         return np.exp(-sq / 80.0)
 
+    def threads_seen(n, blas):
+        seen.clear()
+        put(blas)
+        try:
+            covariance_and_stream(sample_data_matrix(20, n, seed=5), K, block=300)
+            assert get() == blas
+        finally:
+            put(before)
+        assert seen
+        return {(t is threading.current_thread(), count) for t, count in seen}
+
     K = KernelSpec(variant="custom", dimension=20, profile=profile)
-    covariance_and_stream(sample_data_matrix(20, 300, seed=5), K, block=300)
-    assert seen and set(seen) == {(threading.current_thread(), before)}
-    seen.clear()
-    covariance_and_stream(sample_data_matrix(20, 301, seed=5), K, block=300)
-    assert seen and all(t is not threading.current_thread() and count == 1
-                        for t, count in seen)
-    assert _blas_threads() == before
+    assert threads_seen(300, 2) == {(True, 1)}
+    assert threads_seen(301, 2) == {(False, 1)}
+    assert threads_seen(301, 1) == {(True, 1)}
 
 
 def test_pooled_walk_yields_in_item_order_when_a_later_item_finishes_first():
@@ -541,7 +576,7 @@ def test_pooled_walk_yields_in_item_order_when_a_later_item_finishes_first():
 
     try:
         put(2)  # two workers
-        with R._walk(R.BLOCK + 1) as workers:
+        with R._pool() as workers:
             got = list(workers(fn, object, range(3)))
     finally:
         put(before)

@@ -167,7 +167,11 @@ def test_config_with_bad_grid_is_invalid(tmp_path, grid):
     ("kernel.variant = gaussian\nkernel.tau = inf", "tau"),
     ("sigma = nan", "sigma"),
     ("sigma = inf", "sigma"),
-], ids=["beta", "z_alpha", "radius", "tau_nan", "tau_inf", "sigma", "sigma_inf"])
+    ("kernel.variant = gaussian\nkernel.tau = 1\nkernel.radius = 3", "radius"),
+    ("kernel.variant = constant\nkernel.z_alpha = 0.5", "z_alpha"),
+    ("kernel.variant = constant\nkernel.beta = 0.1", "beta"),
+], ids=["beta", "z_alpha", "radius", "tau_nan", "tau_inf", "sigma", "sigma_inf",
+        "radius_on_gaussian", "z_alpha_on_constant", "beta_on_constant"])
 def test_cli_simulate_rejects_bad_kernel_parameters_before_writing(
         tmp_path, capsys, kernel, name):
     path = tmp_path / "bad.cfg"
@@ -334,10 +338,11 @@ def test_same_seed_gives_the_same_bytes_at_any_blas_and_trial_threads(tmp_path):
 
 
 def test_small_trials_run_on_pinned_workers_at_any_trial_threads(tmp_path):
-    # n <= BLOCK: every trial is a task of the pinned pool, on a worker with
-    # BLAS on one thread, whatever `threads` is; on one worker, or on four
-    # with a short switch interval, the pooled eigenvalues are the same and
-    # the thread count is restored
+    # n <= BLOCK: every trial is a task of the pinned pool with BLAS on one
+    # thread, whatever `threads` is: on the calling thread when BLAS had one
+    # thread, on the workers when it had four (with a short switch
+    # interval); the pooled eigenvalues are the same and the thread count
+    # is restored
     get, put = _openblas_or_skip()
     before, switch, seen = get(), sys.getswitchinterval(), []
 
@@ -357,6 +362,7 @@ def test_small_trials_run_on_pinned_workers_at_any_trial_threads(tmp_path):
     try:
         put(1)
         one = eigenvalues(1)
+        on_one, seen = seen, []
         put(4)
         sys.setswitchinterval(1e-5)
         four = [eigenvalues(threads) for threads in (1, 2)]
@@ -365,6 +371,7 @@ def test_small_trials_run_on_pinned_workers_at_any_trial_threads(tmp_path):
         put(before)
         sys.setswitchinterval(switch)
     assert four == [one, one] and after == 4
+    assert on_one and set(on_one) == {(threading.current_thread(), 1)}
     assert seen and all(t is not threading.current_thread() and count == 1
                         for t, count in seen)
 
@@ -387,6 +394,33 @@ def test_error_in_one_pooled_trial_reaches_the_caller_and_restores_blas(
         put(2)
         with pytest.raises(FloatingPointError, match="trial 2"):
             harness.run_experiment(cfg)
+        after = get()
+    finally:
+        put(before)
+    assert after == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_error_in_one_multi_tile_trial_reaches_the_caller_and_restores_blas(
+        tmp_path, monkeypatch):
+    # n > BLOCK at threads=2: the trials run two at a time on the pinned
+    # pool, each streaming on its own; one that fails fails the run
+    get, put = _openblas_or_skip()
+    before = get()
+    cfg = _cfg(tmp_path, p=20, n=1100, trials=3)
+    failing_seed = ensemble.derive_seed(cfg.master_seed, 1)
+    truncated_covariance = ensemble.truncated_covariance
+
+    def failing(X, *args):
+        if X.seed == failing_seed:
+            raise FloatingPointError("trial 1 failed")
+        return truncated_covariance(X, *args)
+
+    monkeypatch.setattr(ensemble, "truncated_covariance", failing)
+    try:
+        put(2)
+        with pytest.raises(FloatingPointError, match="trial 1"):
+            harness.run_experiment(cfg, threads=2)
         after = get()
     finally:
         put(before)
@@ -914,6 +948,20 @@ def test_cli_linalg_failure_exit_code(monkeypatch):
         raise np.linalg.LinAlgError("forced")
     monkeypatch.setattr(harness, "figure1", boom)
     assert cli.main(["figure1"]) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["--type", "mp", "--scale", "inf"], ["--type", "mp", "--c", "nan"],
+    ["--type", "sc", "--variance", "inf"], ["--type", "sc", "--variance", "nan"],
+    ["--type", "genmp", "--z-alpha", "nan"], ["--type", "genmp", "--c", "inf"],
+    ["--type", "genmp", "--sigma", "inf"],
+], ids=["mp_scale_inf", "mp_c_nan", "sc_variance_inf", "sc_variance_nan",
+        "genmp_z_alpha_nan", "genmp_c_inf", "genmp_sigma_inf"])
+def test_cli_law_rejects_non_finite_parameters_before_writing(tmp_path, args):
+    # these used to exit 0 with nan rows, or 3 after a failed inversion
+    out = tmp_path / "laws" / "law.csv"
+    assert cli.main(["law", *args, "--out", str(out)]) == 2
+    assert not (tmp_path / "laws").exists()
 
 
 def test_cli_law_outputs(tmp_path):
