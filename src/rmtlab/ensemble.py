@@ -590,6 +590,17 @@ def _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed):
     return float(mean), float(se)
 
 
+def _chi_mean(f, p):
+    """E f(Q) for Q ~ chi-square(p): 64-point Gauss-Legendre (Golub and Welsch, 1969) in
+    r = sqrt(q) on sqrt(p) -+ 9 cut at 0, where the chi(p) density is smooth, of sd < 0.71."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    lo, hi = max(0.0, np.sqrt(p) - 9.0), np.sqrt(p) + 9.0
+    r = lo + (hi - lo) * (x + 1.0) / 2.0
+    log_dens = ((p - 1) * np.log(r) - r**2 / 2 - (p / 2 - 1) * np.log(2.0)
+                - special.gammaln(p / 2))
+    return float((hi - lo) / 2.0 * np.dot(w, np.exp(log_dens) * f(r**2)))
+
+
 def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian",
             mc_samples=10**5, seed=0, return_stderr=False):
     """E K(X1, X2): closed form where available, else Monte Carlo.
@@ -615,29 +626,16 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     """E K(X1, X2) K(X1, X3) = E xi^2, the second moment of the conditional
     mean xi = E[K(X1, V) | X1].
 
-    For Gaussian entries the indicator case is a one-dimensional quadrature
-    over ||X1||^2 (the conditional law of ||X1 - V||^2 / sigma^2 is noncentral
-    chi-square) and the gaussian-kernel case is closed form via exponential
-    moments. Other combinations fall back to Monte Carlo.
+    For Gaussian entries the indicator case is E xi(Q)^2 over Q = ||X1||^2 /
+    sigma^2 ~ chi-square(p) by `_chi_mean` (given X1, ||X1 - V||^2 / sigma^2
+    is noncentral chi-square) and the gaussian-kernel case is closed form via
+    exponential moments. Other combinations fall back to Monte Carlo.
     """
     p = K.dimension
     if K.variant == "constant":
         return 1.0
     if K.variant == "indicator" and entry_law == "gaussian":
-        from scipy import integrate  # here, so that importing rmtlab does not load it
-
-        t = K.radius**2 / sigma**2
-
-        def f(q):
-            # the chi-square(p) density at q, as scipy.stats.chi2.pdf forms it
-            dens = np.exp(special.xlogy(p / 2 - 1, q) - q / 2 - special.gammaln(p / 2)
-                          - np.log(2) * p / 2)
-            return special.chndtr(t, p, q) ** 2 * dens
-
-        half_width = 10.0 * np.sqrt(2.0 * p)
-        lo, hi = max(0.0, p - half_width), p + half_width
-        val, _ = integrate.quad(f, lo, hi, limit=200)
-        return float(val)
+        return _chi_mean(lambda q: special.chndtr(K.radius**2 / sigma**2, p, q) ** 2, p)
     if K.variant == "gaussian" and entry_law == "gaussian":
         t = 1.0 / (2.0 * p * K.tau**2)
         a = (1.0 + 2.0 * t * sigma**2) ** (-p / 2.0)
@@ -704,7 +702,8 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
         raise ValueError("mc_conditional must be >= 100")
     rng = rng_from_seed(seed, stream=(0xD1A6,))
     V = draw_entries(rng, X.entry_law, X.sigma, (X.p, mc_conditional))
-    return _kernel_row_means(X.entries, V, K)
+    with _pool(1):
+        return _kernel_row_means(X.entries, V, K)
 
 
 def _kernel_row_means(W, V, K, block=BLOCK):
@@ -732,7 +731,8 @@ def _kernel_row_means(W, V, K, block=BLOCK):
 
 def xi_bar_matrix(X: DataMatrix, xi):
     """Mbar = (1/n) sum_i xi_i X_i X_i^T, the reduced matrix of the diagnostics."""
-    Mbar = _weighted_gram(X.entries, xi) / X.n
+    with _pool(1) as workers:
+        Mbar = _weighted_gram(X.entries, xi, BLOCK, workers) / X.n
     return 0.5 * (Mbar + Mbar.T)
 
 

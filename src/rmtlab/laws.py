@@ -52,7 +52,7 @@ class MPLaw:
 
 
 def mp_density(law: MPLaw, x):
-    """Continuous MP density; integrates to 1 for c <= 1 and to 1/c for c > 1."""
+    """Continuous MP density; its mass is 1 for c <= 1 and 1/c for c > 1."""
     x = np.asarray(x, dtype=float)
     a, b = law.support
     inside = (x > a) & (x < b)

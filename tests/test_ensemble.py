@@ -420,9 +420,6 @@ def test_default_stream_memory_is_one_512_tile_per_worker():
 
 
 _HASH_STREAMS = """
-import hashlib, json
-from rmtlab import ensemble as R, harness
-digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
 X = R.sample_data_matrix(60, 2500, seed=3)
 kernels = (R.KernelSpec(variant="indicator", dimension=60,
                         radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 60)),
@@ -432,7 +429,20 @@ cfg = harness.ExperimentConfig(regime="semi_high_dim", p=60, n=2500, trials=2,
                                kernel_variant="indicator", kernel_z_alpha=0.0)
 report = harness.run_experiment(cfg, write_artifacts=False)
 out["run"] = digest(report["pooled_spectrum"].eigenvalues)
-print(json.dumps(out))
+hashes["multi_tile"] = out
+"""
+
+_HASH_SMALL_STREAMS = """
+out = {}
+for p, n in ((200, 500), (400, 1000)):
+    X = R.sample_data_matrix(p, n, seed=3)
+    for K in (R.KernelSpec(variant="indicator", dimension=p,
+                           radius=R.indicator_radius_from_z_alpha(0.0, 1.0, p)),
+              R.KernelSpec(variant="gaussian", dimension=p, tau=1.0)):
+        out[f"{p}x{n}_{K.variant}"] = [digest(a) for a in R.covariance_and_stream(X, K)]
+    xi = R.xi_conditional(X, K, seed=3)  # K: the gaussian kernel
+    out[f"{p}x{n}_xi"] = [digest(xi), digest(R.xi_bar_matrix(X, xi))]
+hashes["small"] = out
 """
 
 
@@ -444,36 +454,34 @@ def _hashes_at_one_and_two_blas_threads(script):
         for threads in ("1", "2")]
 
 
-def test_multi_tile_stream_is_the_same_at_any_blas_thread_count():
+@pytest.fixture(scope="module")
+def blas_thread_hashes():
+    # every hash case in one child process per BLAS thread count, which
+    # imports rmtlab once
+    return _hashes_at_one_and_two_blas_threads(
+        "import hashlib, json\n"
+        "from rmtlab import ensemble as R, harness\n"
+        "digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()\n"
+        "hashes = {}\n" + _HASH_STREAMS + _HASH_SMALL_STREAMS + "print(json.dumps(hashes))\n")
+
+
+def test_multi_tile_stream_is_the_same_at_any_blas_thread_count(blas_thread_hashes):
     # n > block: the row blocks run on as many workers as BLAS had threads,
     # with BLAS on one thread and the sums taken in row-block order, so M,
     # deg and W A W^T hash alike under 1 and 2 BLAS threads; a trial runs
     # its eigensolve under the same pin, so its eigenvalues do too
-    one, two = _hashes_at_one_and_two_blas_threads(_HASH_STREAMS)
+    one, two = (h["multi_tile"] for h in blas_thread_hashes)
     assert one == two
 
 
-_HASH_SMALL_STREAMS = """
-import hashlib, json
-from rmtlab import ensemble as R
-out = {}
-for p, n in ((200, 500), (400, 1000)):
-    X = R.sample_data_matrix(p, n, seed=3)
-    for K in (R.KernelSpec(variant="indicator", dimension=p,
-                           radius=R.indicator_radius_from_z_alpha(0.0, 1.0, p)),
-              R.KernelSpec(variant="gaussian", dimension=p, tau=1.0)):
-        out[f"{p}x{n}_{K.variant}"] = [hashlib.sha256(a.tobytes()).hexdigest()
-                                      for a in R.covariance_and_stream(X, K)]
-print(json.dumps(out))
-"""
-
-
-def test_stream_of_at_most_block_columns_is_the_same_at_any_blas_thread_count():
+def test_stream_of_at_most_block_columns_is_the_same_at_any_blas_thread_count(
+        blas_thread_hashes):
     # n <= block: a direct call runs on the calling thread with BLAS on one
     # thread, so its M, deg and W A W^T hash alike under 1 and 2 BLAS
-    # threads (on the caller's BLAS threads they did not)
-    one, two = _hashes_at_one_and_two_blas_threads(_HASH_SMALL_STREAMS)
-    assert len(one) == 4 and one == two
+    # threads (on the caller's BLAS threads they did not); so do the
+    # gaussian kernel's xi and Mbar, which at 400 x 1000 also differed
+    one, two = (h["small"] for h in blas_thread_hashes)
+    assert len(one) == 6 and one == two
 
 
 def _blas_threads():
@@ -764,6 +772,46 @@ def test_pair_moment_closed_forms_match_monte_carlo():
         K_mc = KernelSpec(variant="custom", dimension=40, profile=prof)
         mc = R.pair_kernel_moment(K_mc, sigma=1.0, mc_samples=2 * 10**5, seed=3)
         assert abs(closed - mc) < 0.01
+
+
+_CHI_GRID = [(p, z) for p in (1, 3, 5, 20, 100, 400, 3200) for z in (-1.0, 0.0, 1.0)]
+
+
+def _indicator(p, z_alpha):
+    return KernelSpec(variant="indicator", dimension=p,
+                      radius=R.indicator_radius_from_z_alpha(z_alpha, 1.0, p))
+
+
+@pytest.mark.parametrize("p, z_alpha", _CHI_GRID)
+def test_chi_rule_gives_the_closed_form_mean_of_xi(p, z_alpha):
+    # E xi(Q) = P(||X1 - X2||^2 <= r^2) = chdtr(p, r^2 / 2 sigma^2), alpha_p's
+    # closed form
+    from scipy import special
+    K = _indicator(p, z_alpha)
+    mean = R._chi_mean(lambda q: special.chndtr(K.radius**2, p, q), p)
+    assert abs(mean - R.alpha_p(K)) <= 1e-12
+
+
+@pytest.mark.parametrize("p, z_alpha", _CHI_GRID)
+def test_indicator_pair_moment_matches_adaptive_quadrature_in_r(p, z_alpha):
+    # the reference integrates xi^2 against the chi(p) density of r = ||X1||
+    # adaptively, to a tolerance far below the bound: in r the density is
+    # smooth at 0 for every p, where the chi-square density of q = r^2 is not
+    # for small p
+    from scipy import integrate, special
+    K = _indicator(p, z_alpha)
+    log_norm = special.gammaln(p / 2) + (p / 2 - 1) * np.log(2.0)
+
+    def f(r):
+        dens = np.exp(special.xlogy(p - 1, r) - r * r / 2 - log_norm)
+        return dens * special.chndtr(K.radius**2, p, r * r) ** 2
+
+    s = np.sqrt(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        ref, _ = integrate.quad(f, max(0.0, s - 12.0), s + 12.0, points=[s],
+                                epsabs=1e-16, epsrel=1e-14, limit=200)
+    assert abs(R.pair_kernel_moment(K) - ref) <= 1e-12
 
 
 def test_expected_mean_eigenvalue_closed_forms():

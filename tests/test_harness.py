@@ -1097,16 +1097,17 @@ def test_importing_the_cli_loads_neither_scipy_stats_nor_integrate():
 
 
 def test_semi_high_dim_run_does_not_load_scipy_stats():
-    # the indicator's pair moment evaluates the chi-square density itself
+    # the indicator's pair moment is a fixed rule over the chi density it
+    # evaluates itself: no scipy.stats density, no adaptive quadrature
     code = ("import sys; from rmtlab import harness; harness.run_experiment("
             "harness.ExperimentConfig(regime='semi_high_dim', p=20, n=100, trials=1, "
             "kernel_variant='indicator', kernel_z_alpha=0.0), write_artifacts=False); "
-            "print('scipy.stats' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m in ('scipy.stats', 'scipy.integrate')))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_cli_parser_requires_command():
