@@ -303,38 +303,32 @@ def _stream(X: DataMatrix, K: KernelSpec, block, workers):
 
 class _Tiles:
     """A set of buffers for the stream's row blocks of `side` rows, used by
-    one row block at a time: the side x side tile buffer (with the
-    indicator's float32 operands), the panel V_I and, when a row holds more
-    than one tile, a second side x p buffer that takes each tile's product
-    before it is added to V_I. A tile is formed by its kernel's rule; its
-    degrees and zero diagonal are taken by `row_block` alone."""
+    one row block at a time: the panel V_I, when a row holds more than one
+    tile a second side x p buffer that takes each tile's product before it
+    is added to V_I, and the tile rule's own buffer (`_tile_rule`). A tile is
+    formed by that rule; its degrees and zero diagonal are taken by
+    `row_block` alone."""
 
     def __init__(self, W, K, sqn, side):
         p, n = W.shape
-        self.W, self.K, self.sqn, self.side = W, K, sqn, side
+        self.W, self.side = W, side
         # the panels below the tile buffer in the heap: above it, the freed
         # panel left a hole that raised the diagnostics' peak RSS by 1-3 MB
         self.panel = np.empty((min(side, n), p))
         self.tmp = np.empty_like(self.panel) if n > side else None
-        self.indicator = (_IndicatorTiles(W, W, sqn, sqn, K.radius**2, side)
-                          if K.variant == "indicator" and K.radius < np.inf else None)
-        self.buf = (self.indicator.buf if self.indicator
-                    else np.empty(min(side, n) ** 2))
+        self.tile = _tile_rule(W, W, K, sqn, sqn, side)
 
     def row_block(self, lo):
         """Row block I from column lo: the degrees its tiles add to each of
         the n columns, and W_I V_I."""
-        W, K, sqn, side, n = self.W, self.K, self.sqn, self.side, len(self.sqn)
+        W, side = self.W, self.side
+        n = W.shape[1]
         hi = min(lo + side, n)
         deg = np.zeros(n)
         V = self.panel[:hi - lo]
         for lo2 in range(lo, n, side):
             hi2 = min(lo2 + side, n)
-            A = self.buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
-            if self.indicator:
-                self.indicator.fill(A, lo, hi, lo2, hi2)
-            else:
-                _kernel_tile(K, A, W[:, lo:hi], W[:, lo2:hi2], sqn[lo:hi], sqn[lo2:hi2])
+            A = self.tile(lo, hi, lo2, hi2)
             if lo2 == lo:  # its column sums: exactly its row sums for 0/1 tiles
                 np.fill_diagonal(A, 0.0)
                 deg[lo:hi] += A.sum(axis=0)
@@ -346,6 +340,23 @@ class _Tiles:
                 np.matmul(A, W[:, lo2:hi2].T, out=self.tmp[:hi - lo])
                 V += self.tmp[:hi - lo]
         return deg, W[:, lo:hi] @ V
+
+
+def _tile_rule(W, V, K, sqn, sqv, side):
+    """tile(lo, hi, lo2, hi2): the float64 kernel values K(w_i, v_j) of the
+    columns lo:hi of W against lo2:hi2 of V, at most side x side, in one
+    buffer that the next call overwrites. A finite-radius indicator's tiles
+    are decided by `_IndicatorTiles`, every other kernel's by `_kernel_tile`."""
+    if K.variant == "indicator" and K.radius < np.inf:
+        return _IndicatorTiles(W, V, sqn, sqv, K.radius**2, side).fill
+    buf = np.empty(min(side, W.shape[1]) * min(side, V.shape[1]))
+
+    def tile(lo, hi, lo2, hi2):
+        A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
+        _kernel_tile(K, A, W[:, lo:hi], V[:, lo2:hi2], sqn[lo:hi], sqv[lo2:hi2])
+        return A
+
+    return tile
 
 
 def _kernel_tile(K, A, Wi, Vj, sqn_i, sqn_j):
@@ -386,13 +397,11 @@ class _IndicatorTiles:
     gets the formula's value from the sign of m. Every other pair is decided
     again by the formula, with g_ij from its own two columns.
 
-    The symmetric stream takes float64 0/1 tiles (`fill`), whose upper half
-    holds the margins. A diagonal tile is exactly symmetric: a pair outside
-    the band takes the sign of its exact margin, one inside it the formula,
-    both symmetric in i and j. The X-vs-V walk of the conditional means
-    takes only row counts (`count`), so its buffer holds float32 margins and
-    no float64 tile, half the bytes. The radius must be finite: an infinite
-    one, 1 everywhere, is formed by `_kernel_tile`.
+    Both walks take the float64 0/1 tiles of `fill`, whose upper half holds
+    the margins. A diagonal tile of the symmetric stream is exactly
+    symmetric: a pair outside the band takes the sign of its exact margin,
+    one inside it the formula, both symmetric in i and j. The radius must be
+    finite: an infinite one, 1 everywhere, is formed by `_kernel_tile`.
     """
 
     def __init__(self, W, V, sqn, sqv, r2, block):
@@ -405,44 +414,21 @@ class _IndicatorTiles:
             (sqv - r2 / 2) * self.scale**2, np.sqrt(sqv) * self.scale)
         self.coef = ((p + 2) * _U32 / (1 - (p + 2) * _U32) + 3 * _U32) * (1 + _U32)
         self.tiny = (p + 2) * 2.0**-146  # subnormal casts and products
-        # the tile (float64 on the symmetric stream, float32 margins on the
-        # X-vs-V walk), then the float32 operands L and R
+        # the float64 tile, then the float32 operands L and R
         h, w = min(block, W.shape[1]), min(block, V.shape[1])
-        tile = h * w * (2 if V is W else 1)  # in float32 elements
-        self.buf = np.empty((tile + (h + w) * (p + 2) + 1) // 2)
-        ops = self.buf.view(np.float32)[tile:]
+        self.buf = np.empty(h * w + ((h + w) * (p + 2) + 1) // 2)
+        ops = self.buf[h * w:].view(np.float32)
         self.L, self.R = ops[:h * (p + 2)], ops[h * (p + 2):]
 
-    def fill(self, A, lo, hi, lo2, hi2):
-        """Decide tile (I, J) of the symmetric stream into A as float64 0/1
-        values, its diagonal's 1s included."""
-        h, w = A.shape
+    def fill(self, lo, hi, lo2, hi2):
+        """Tile (I, J) as float64 0/1 values, its diagonal's 1s included, in
+        the object's buffer."""
+        W, V, a, b = self.W, self.V, self.a, self.b
+        (h, w), p = (hi - lo, hi2 - lo2), W.shape[0]
+        A = self.buf[:h * w].reshape(h, w)
         # the float32 margins fill the upper half of A's bytes, so writing a
         # chunk's float64 rows overwrites only margins already read
         m = A.reshape(-1).view(np.float32)[h * w:].reshape(h, w)
-        for r, below in self._decided(m, lo, hi, lo2, hi2):
-            A[r:r + len(below)] = below
-        for t, _, edge in self._redecided(lo, lo2, w):
-            A.reshape(-1)[t] = edge  # each pair is 0 in A so far
-
-    def count(self, total, lo, hi, lo2, hi2):
-        """Add the number of 1s in each row of tile (I, J) to total[I],
-        counted from the float32 margins and the pairs decided again; the
-        counts are exact integers."""
-        h, w = hi - lo, hi2 - lo2
-        m = self.buf.view(np.float32)[:h * w].reshape(h, w)
-        for r, below in self._decided(m, lo, hi, lo2, hi2):
-            total[lo + r:lo + r + len(below)] += below.sum(axis=1, dtype=np.int32)
-        for _, i, edge in self._redecided(lo, lo2, w):
-            np.add.at(total, i, edge)
-
-    def _decided(self, m, lo, hi, lo2, hi2):
-        """The float32 margins of tile (I, J) into m, then per cache-sized
-        chunk of rows from row r, (r, below) with below the pairs whose
-        margin is at most -band, 1 for sure; a pair above the band is 0.
-        The pairs within the band are kept for `_redecided`."""
-        W, V, a, b = self.W, self.V, self.a, self.b
-        (h, w), p = m.shape, W.shape[0]
         L = self.L[:h * (p + 2)].reshape(h, p + 2)
         if lo != self.lo:
             self.lo = lo
@@ -458,6 +444,8 @@ class _IndicatorTiles:
         band = self.coef * (2.0 * self.norm[lo:hi].max() * self.normv[lo2:hi2].max()
                             + np.abs(a[lo:hi]).max() + np.abs(b[lo2:hi2]).max())
         band = np.nextafter(np.float32(band + self.tiny), np.float32(np.inf))
+        # per cache-sized chunk of rows: a pair at most -band is 1 for sure,
+        # one above band 0; those within the band are decided again below
         rows = max(1, _CHUNK_BYTES // (8 * w))
         below, near = np.empty((2, min(rows, h), w), bool)
         found = []
@@ -467,18 +455,14 @@ class _IndicatorTiles:
             np.less_equal(m[r:r + c], band, out=near[:c])
             near[:c] ^= below[:c]
             found.append(np.flatnonzero(near[:c]) + r * w)
-            yield r, below[:c]
-        self.found = np.concatenate(found)
-
-    def _redecided(self, lo, lo2, w):
-        """Per batch of the last tile's pairs within the band: their flat
-        indices t in the tile, their columns i of W, and their float64
-        decisions."""
-        for s in range(0, len(self.found), _REDECIDE_BATCH):
-            t = self.found[s:s + _REDECIDE_BATCH]
+            A[r:r + c] = below[:c]
+        found = np.concatenate(found)
+        for s in range(0, len(found), _REDECIDE_BATCH):
+            t = found[s:s + _REDECIDE_BATCH]
             i, j = lo + t // w, lo2 + t % w
-            g = np.einsum("ij,ij->j", self.W.take(i, axis=1), self.V.take(j, axis=1))
-            yield t, i, -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
+            g = np.einsum("ij,ij->j", W.take(i, axis=1), V.take(j, axis=1))
+            A.reshape(-1)[t] = -2.0 * g + (self.sqn[i] + self.sqv[j]) <= self.r2
+        return A
 
 
 def truncated_covariance(X: DataMatrix, K: KernelSpec, block=BLOCK):
@@ -689,12 +673,11 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
     """xi_i = E[K(X_i, V) | X_i] estimated by the row means (1/m) sum_j
     K(X_i, v_j) over m = mc_conditional fresh draws v_j of V.
 
-    The X-vs-V kernel matrix is walked in the stream's tiles (`_side`),
-    decided as in `_stream`, so no n x m array is formed: memory beyond X and
-    V is O(p (n + m) + block^2). An indicator tile is counted from its float32
-    margins, with the pairs in their rounding band decided again in float64
-    (`_IndicatorTiles.count`): no float64 tile is formed, and the exact
-    integer row counts give the float64 Gram's means.
+    The X-vs-V kernel matrix is walked in the stream's tiles, formed by its
+    tile rule (`_tile_rule`), so no n x m array is formed: memory beyond X and
+    V is O(p (n + m) + block^2). An indicator's 0/1 tiles are decided as in
+    `_stream`, so their row sums are exact integers and give the float64
+    Gram's means.
     """
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
@@ -708,24 +691,16 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
 
 def _kernel_row_means(W, V, K, block=BLOCK):
     """(1/m) sum_j K(w_i, v_j) for the columns w_i of W and v_j of V, from
-    tiles of the stream's side; a row within one tile is summed whole, as by
-    mean."""
+    the stream's tiles (`_tile_rule`); a row within one tile is summed whole,
+    as by mean."""
     (n, m), side = (W.shape[1], V.shape[1]), _side(block)
     sqn, sqv = (np.einsum("ij,ij->j", U, U) for U in (W, V))
-    indicator = (_IndicatorTiles(W, V, sqn, sqv, K.radius**2, side)
-                 if K.variant == "indicator" and K.radius < np.inf else None)
-    buf = None if indicator else np.empty(min(side, n) * min(side, m))
+    tile = _tile_rule(W, V, K, sqn, sqv, side)
     total = np.zeros(n)
     for lo in range(0, n, side):
         hi = min(lo + side, n)
         for lo2 in range(0, m, side):
-            hi2 = min(lo2 + side, m)
-            if indicator:
-                indicator.count(total, lo, hi, lo2, hi2)
-            else:
-                A = buf[:(hi - lo) * (hi2 - lo2)].reshape(hi - lo, hi2 - lo2)
-                _kernel_tile(K, A, W[:, lo:hi], V[:, lo2:hi2], sqn[lo:hi], sqv[lo2:hi2])
-                total[lo:hi] += A.sum(axis=1)
+            total[lo:hi] += tile(lo, hi, lo2, min(lo2 + side, m)).sum(axis=1)
     return total / m
 
 

@@ -449,9 +449,15 @@ def _sweep(runs, out_dir, prefix, overlay, threads, check, **common):
     with the plain MP(c, sigma^2) on its default grid beside its law.csv.
     The trials of all runs share one `_simulate`, and every config is
     validated and every law built before the first file is written, so an
-    invalid config or a law that fails leaves no file. A report's
-    runtime_seconds counts from the start of the sweep."""
+    invalid config, two runs whose tags print alike (one directory) or a law
+    that fails leaves no file. A report's runtime_seconds counts from the
+    start of the sweep."""
     out = Path(out_dir)
+    tags = [tag for tag, _ in runs]
+    for k, tag in enumerate(tags):
+        if tag in tags[:k]:
+            raise ValueError(f"two runs would write {out / f'{prefix}{tag}'}: "
+                             "their values print alike")
     configs = [(tag, ExperimentConfig(output_dir=str(out / f"{prefix}{tag}"),
                                       **common, **settings).validate())
                for tag, settings in runs]

@@ -328,6 +328,23 @@ def test_indicator_xi_is_exact_on_integer_data(block):
     assert np.array_equal(got, xi)
 
 
+@pytest.mark.parametrize("block", [2048, 700, 64])
+@pytest.mark.parametrize("data", ["integer", "gaussian"])
+def test_indicator_xi_of_the_data_itself_is_the_streams_degrees(data, block):
+    # V = W: both walks take the same tile rule, so the X-vs-V walk decides
+    # every pair as the stream does, its diagonal's 1s included
+    if data == "integer":
+        W, radius = _integer_data_on_the_radius()
+        W = W.astype(float)
+    else:
+        W = sample_data_matrix(30, 1500, seed=4).entries
+        radius = R.indicator_radius_from_z_alpha(0.0, 1.0, 30)
+    p, n = W.shape
+    K = KernelSpec(variant="indicator", dimension=p, radius=radius)
+    deg = covariance_and_stream(R.DataMatrix(W, p, n, data, 1.0, 0), K, block)[1]
+    assert np.array_equal(R._kernel_row_means(W, W, K, block=block), (deg + 1) / n)
+
+
 @pytest.mark.parametrize("k", [-60, 0, 60])
 def test_indicator_xi_does_not_move_under_power_of_two_scaling(k):
     _, partner, radius, _ = _integer_pairs_on_the_radius()
@@ -624,21 +641,6 @@ def test_symmetric_indicator_tiles_share_their_vectors():
     sqn = np.einsum("ij,ij->j", W, W)
     t = R._IndicatorTiles(W, W, sqn, sqn, 20.0, 16)
     assert t.b is t.a and t.normv is t.norm
-
-
-def test_indicator_xi_forms_no_float64_tile():
-    # the X-vs-V walk counts each tile's 1s from its float32 margins, so its
-    # peak stays below one float64 tile (512 x 512 at block 1024)
-    X = sample_data_matrix(20, 2000, seed=1)
-    V = sample_data_matrix(20, 2000, seed=2).entries
-    K = KernelSpec(variant="indicator", dimension=20, radius=6.0)
-    tracemalloc.start()
-    try:
-        R._kernel_row_means(X.entries, V, K, block=1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 512 * 512 * 8
 
 
 def test_covariance_memory_stays_below_a_p_by_n_array():

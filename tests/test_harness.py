@@ -590,10 +590,13 @@ def test_figure1_mean_eigenvalue_increases_with_beta(tmp_path):
     (harness.figure1, {"betas": (0.1, -3.0)}, "beta"),
     (harness.figure2, {"taus": (0.5, -1.0)}, "tau"),
     (harness.figure1, {"betas": (0.1,), "threads": 0}, "threads"),
-], ids=["beta", "tau", "threads"])
+    (harness.figure1, {"betas": (0.1, 0.1000001)}, "beta_0.1"),
+    (harness.figure2, {"taus": (1, 1.0)}, "tau_1"),
+], ids=["beta", "tau", "threads", "beta_tags_alike", "tau_tags_alike"])
 def test_figure_sweep_checks_every_run_before_writing(tmp_path, figure, kw, match):
-    # an invalid last run used to leave the earlier runs' files behind, and
-    # threads=0 an empty out_dir
+    # an invalid last run used to leave the earlier runs' files behind,
+    # threads=0 an empty out_dir, and two values with one printed tag one
+    # directory, the second run's files over the first's
     with pytest.raises(ValueError, match=match):
         figure(p=20, n=50, trials=1, out_dir=str(tmp_path / "fig"), **kw)
     assert not (tmp_path / "fig").exists()
@@ -1006,6 +1009,27 @@ def test_cli_diagnostics_rejects_bad_input(tmp_path, args):
     out = tmp_path / "diag"
     assert _exit_code(["diagnostics", *args, "--out", str(out)]) == 2
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["figure1", "--betas", "0.1,0.1000001"],
+                                  ["figure2", "--taus", "1,1.0"]],
+                         ids=["betas", "taus"])
+def test_cli_figure_rejects_values_that_print_alike(tmp_path, capsys, argv):
+    out = tmp_path / "fig"
+    assert _exit_code([*argv, "--p", "20", "--n", "50", "--out", str(out)]) == 2
+    assert "print alike" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes, code", [("20:50,40:100", 0), ("40:100,20:50", 4)])
+def test_cli_check_diagnostics_gates_on_the_medians_falling(tmp_path, sizes, code):
+    # no KS: --check exits 4 unless the median W2 gap falls strictly along
+    # --sizes in the order given (medians about 0.147 at 20:50 and 0.064 at
+    # 40:100 over 3 seeds)
+    out = tmp_path / "diag"
+    assert _exit_code(["--check", "diagnostics", "--sizes", sizes, "--seeds", "3",
+                       "--out", str(out)]) == code
+    assert json.loads((out / "summary.json").read_text())["decreasing"] is (code == 0)
 
 
 @pytest.mark.parametrize("argv, message", [
