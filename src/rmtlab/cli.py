@@ -18,10 +18,6 @@ def build_parser():
         prog="rmt",
         description="Simulate kernel-truncated covariance spectra and compare "
                     "them with their predicted limiting laws.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="trials with n > 1024 run at once, at least 1 "
-                             "(default 1); trials of any n run at most as many "
-                             "at once as OpenBLAS has threads")
     parser.add_argument("--check", action="store_true",
                         help="apply acceptance thresholds; exit 4 on breach")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -110,8 +106,7 @@ def _common_experiment_args(p):
 
 def _cmd_simulate(args):
     config = ExperimentConfig.from_file(args.config)
-    report = harness.run_experiment(config, threads=args.threads,
-                                    check=args.check)
+    report = harness.run_experiment(config, check=args.check)
     _print_report(report)
     return _gate(report)
 
@@ -124,7 +119,7 @@ def _cmd_figure(args):
         sweep["out_dir"] = args.out
     reports = getattr(harness, args.command)(
         p=args.p, n=args.n, sigma=args.sigma, seed=args.seed, trials=args.trials,
-        threads=args.threads, check=args.check, **sweep)
+        check=args.check, **sweep)
     for tag, rep in reports.items():
         ks = rep["pooled_ks"]
         print(f"{tag}: pooled KS = {ks:.4f}" if ks is not None
@@ -145,8 +140,7 @@ def _cmd_semicircle(args):
     report = harness.semicircle_experiment(
         p=args.p, n=args.n, kernel_variant=args.kernel,
         kernel_z_alpha=args.z_alpha, kernel_tau=args.tau, sigma=args.sigma,
-        trials=args.trials, seed=args.seed, out_dir=args.out,
-        threads=args.threads, check=args.check)
+        trials=args.trials, seed=args.seed, out_dir=args.out, check=args.check)
     _print_report(report)
     return _gate(report)
 
@@ -200,10 +194,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (SolverError, InversionQualityError, np.linalg.LinAlgError) as exc:

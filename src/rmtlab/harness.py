@@ -249,25 +249,23 @@ def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
     return lam
 
 
-def _simulate(runs, threads):
+def _simulate(runs):
     """The prediction (law, law_params) and the per-trial eigenvalues of
     each (config, kernel) of `runs`, in run order.
 
     The trials of all runs are the tasks of one `ensemble._pool()`, each on
     one BLAS thread, so no byte depends on how many run at once: with every
     n <= ensemble.BLOCK as many as OpenBLAS had threads, but no more than
-    _TRIALS_BYTES holds by _trial_bytes; with a larger n at most `threads`,
-    each streaming on its own pool. The calling thread builds the laws
-    meanwhile, or first when the pool has one worker; a semi_high_dim run's
-    comes first, since its trials centre by alpha_p."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _TRIALS_BYTES holds by _trial_bytes; with a larger n one at a time, on
+    the calling thread, each streaming on every worker. The calling thread
+    builds the laws meanwhile, or first when the pool has one worker; a
+    semi_high_dim run's comes first, since its trials centre by alpha_p."""
     first = [select_prediction(c, kernel=K) if c.regime == "semi_high_dim" else None
              for c, K in runs]
     tasks = [(c, K, pred and pred[1]["alpha_p"], t)
              for (c, K), pred in zip(runs, first) for t in range(c.trials)]
     most = _TRIALS_BYTES // max(_trial_bytes(c.p, c.n) for c, _ in runs) \
-        if max(c.n for c, _ in runs) <= ensemble.BLOCK else threads
+        if max(c.n for c, _ in runs) <= ensemble.BLOCK else 1
     with ensemble._pool(most) as workers:
         eigs = workers(lambda _, task: _trial_eigenvalues(*task), lambda: None, tasks)
         predictions = [pred or select_prediction(c, kernel=K)
@@ -278,7 +276,7 @@ def _simulate(runs, threads):
             for pred, (c, _) in zip(predictions, runs)]
 
 
-def run_experiment(config: ExperimentConfig, threads=1, check=False,
+def run_experiment(config: ExperimentConfig, threads=None, check=False,
                    write_artifacts=True, kernel=None):
     """Run the configured seeded trials, compare the pooled ESD with the
     predicted law, and (optionally) write histogram/law CSVs and report JSON.
@@ -288,9 +286,9 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
     verdict of check_verdict.
 
     Every trial runs with OpenBLAS on one thread, on the pinned pool of
-    `_simulate`: with n <= ensemble.BLOCK whatever `threads` is, with a
-    larger n at most `threads` (>= 1) at once, and no byte depends on it or
-    on the BLAS thread count.
+    `_simulate`, and no byte depends on the BLAS thread count. `threads` is
+    read by nothing: it is kept for callers that still pass it, such as
+    perfbench's workloads.
 
     `kernel` overrides the config-derived KernelSpec (custom kernels); any
     other kernel must equal config.kernel(). The returned report also holds
@@ -298,7 +296,7 @@ def run_experiment(config: ExperimentConfig, threads=1, check=False,
     config.validate()
     t0 = time.perf_counter()
     K = kernel if kernel is not None else config.kernel()
-    [(prediction, eigs)] = _simulate([(config, K)], threads)
+    [(prediction, eigs)] = _simulate([(config, K)])
     return _score(config, K, prediction, eigs, t0, check, write_artifacts)
 
 
@@ -422,29 +420,29 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 def figure1(p=200, n=500, sigma=1.0, betas=(-0.1, 0.1, 0.3, math.inf),
-            seed=0, trials=1, out_dir="fig1_out", threads=1, check=False):
+            seed=0, trials=1, out_dir="fig1_out", check=False):
     """Indicator-kernel spectra across radius parameters r(beta), with the
     plain MP overlay law_mp.csv and, for finite beta, the generalized-MP
     overlay; beta = inf is the constant kernel."""
     runs = [("inf", {"kernel_variant": "constant"}) if math.isinf(beta) else
             (f"{beta:g}", {"kernel_variant": "indicator", "kernel_beta": beta})
             for beta in betas]
-    return _sweep(runs, out_dir, "beta_", "law_mp.csv", threads, check,
+    return _sweep(runs, out_dir, "beta_", "law_mp.csv", check,
                   p=p, n=n, sigma=sigma, trials=trials, master_seed=seed)
 
 
 def figure2(p=200, n=500, sigma=1.0, taus=(0.4, 0.7, 1.0, 1.3), seed=0,
-            trials=1, out_dir="fig2_out", threads=1, check=False):
+            trials=1, out_dir="fig2_out", check=False):
     """Gaussian-kernel spectra across bandwidths tau with two MP overlays:
     the predicted MP(c, alpha sigma^2) in each run's law.csv, and the plain
     MP(c, sigma^2) written beside it as law_mp_raw.csv."""
     runs = [(f"{tau:g}", {"kernel_variant": "gaussian", "kernel_tau": tau})
             for tau in taus]
-    return _sweep(runs, out_dir, "tau_", "law_mp_raw.csv", threads, check,
+    return _sweep(runs, out_dir, "tau_", "law_mp_raw.csv", check,
                   p=p, n=n, sigma=sigma, trials=trials, master_seed=seed)
 
 
-def _sweep(runs, out_dir, prefix, overlay, threads, check, **common):
+def _sweep(runs, out_dir, prefix, overlay, check, **common):
     """Run each (tag, kernel settings) of `runs` into out_dir/<prefix><tag>,
     with the plain MP(c, sigma^2) on its default grid beside its law.csv.
     The trials of all runs share one `_simulate`, and every config is
@@ -462,7 +460,7 @@ def _sweep(runs, out_dir, prefix, overlay, threads, check, **common):
                                       **common, **settings).validate())
                for tag, settings in runs]
     t0 = time.perf_counter()
-    simulated = _simulate([(cfg, cfg.kernel()) for _, cfg in configs], threads)
+    simulated = _simulate([(cfg, cfg.kernel()) for _, cfg in configs])
     reports = {}
     for (tag, cfg), (prediction, eigs) in zip(configs, simulated):
         reports[tag] = _score(cfg, cfg.kernel(), prediction, eigs, t0, check, True)
@@ -474,11 +472,11 @@ def _sweep(runs, out_dir, prefix, overlay, threads, check, **common):
 
 def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
                           kernel_z_alpha=0.0, kernel_tau=None, sigma=1.0,
-                          trials=3, seed=0, out_dir="sc_out", threads=1,
+                          trials=3, seed=0, out_dir="sc_out", threads=None,
                           check=False):
     """Semi-high-dimensional run comparing the centered, rescaled spectrum with
     the predicted semicircle law: run_experiment on the semi_high_dim config
-    of these arguments."""
+    of these arguments. `threads` is read by nothing, as in run_experiment."""
     cfg = ExperimentConfig(regime="semi_high_dim", p=p, n=n, sigma=sigma,
                            trials=trials, master_seed=seed,
                            kernel_variant=kernel_variant,
@@ -487,7 +485,7 @@ def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
                            kernel_tau=kernel_tau
                            if kernel_variant == "gaussian" else None,
                            output_dir=out_dir)
-    return run_experiment(cfg, threads=threads, check=check)
+    return run_experiment(cfg, check=check)
 
 
 def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
@@ -509,6 +507,10 @@ def diagnostics_reductions(p_list=(100, 200, 400), n_list=(250, 500, 1000),
     if not p_list or len(p_list) != len(n_list):
         raise ValueError("diagnostics_reductions needs equally many p and n values, "
                          f"at least one, got p_list={p_list}, n_list={n_list}")
+    for name, values in (("p:n size", list(zip(p_list, n_list))), ("seed", seeds)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"diagnostics_reductions takes each {name} once, "
+                             f"got {values}")
     if kernel_variant not in ("indicator", "constant"):
         raise ValueError("diagnostics_reductions takes the indicator or constant "
                          f"kernel, got {kernel_variant!r}")

@@ -5,13 +5,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ensemble
+
 
 def symmetric_eigenvalues(S):
     """All eigenvalues of a real symmetric matrix, ascending.
 
     Rejects matrices that are non-square, hold a non-finite entry, or are
     asymmetric beyond 1e-10 relative; symmetrizes (S + S^T)/2 before the
-    solve.
+    solve, which runs with OpenBLAS on one thread (`ensemble._pool`), so its
+    bits are the same at any BLAS thread count.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -21,7 +24,8 @@ def symmetric_eigenvalues(S):
     scale = np.linalg.norm(S)
     if scale > 0 and np.linalg.norm(S - S.T) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(0.5 * (S + S.T))
+    with ensemble._pool(1):
+        return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
 @dataclass(frozen=True)

@@ -227,14 +227,24 @@ def test_criterion_10_thread_determinism(tmp_path, capsys):
                            kernel_z_alpha=0.0, trials=4, master_seed=SEED,
                            output_dir=str(out))
 
+    blas = ensemble._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    get, put = blas
+
     def snapshot(threads):
-        harness.run_experiment(cfg, threads=threads)
+        put(threads)  # OpenBLAS threads of this process
+        harness.run_experiment(cfg)
         return {name: (out / name).read_bytes()
                 for name in ("histogram.csv", "law.csv", "report.json")}
 
-    one = snapshot(1)
-    eight = snapshot(8)
-    csv_ok = all(one[name] == eight[name]
+    before = get()
+    try:
+        one = snapshot(1)
+        two = snapshot(2)
+    finally:
+        put(before)
+    csv_ok = all(one[name] == two[name]
                  for name in ("histogram.csv", "law.csv"))
 
     def stable_json(raw):
@@ -242,7 +252,7 @@ def test_criterion_10_thread_determinism(tmp_path, capsys):
         payload.pop("runtime_seconds", None)
         return json.dumps(payload, sort_keys=True)
 
-    json_ok = stable_json(one["report.json"]) == stable_json(eight["report.json"])
+    json_ok = stable_json(one["report.json"]) == stable_json(two["report.json"])
     ok = csv_ok and json_ok
     _line(capsys, 10, ok, f"csv byte-identical={csv_ok}, "
           f"report identical (runtime field excluded)={json_ok}")

@@ -456,9 +456,11 @@ for p, n in ((200, 500), (400, 1000)):
     for K in (R.KernelSpec(variant="indicator", dimension=p,
                            radius=R.indicator_radius_from_z_alpha(0.0, 1.0, p)),
               R.KernelSpec(variant="gaussian", dimension=p, tau=1.0)):
-        out[f"{p}x{n}_{K.variant}"] = [digest(a) for a in R.covariance_and_stream(X, K)]
+        stream = R.covariance_and_stream(X, K)
+        out[f"{p}x{n}_{K.variant}"] = [digest(a) for a in stream]
     xi = R.xi_conditional(X, K, seed=3)  # K: the gaussian kernel
     out[f"{p}x{n}_xi"] = [digest(xi), digest(R.xi_bar_matrix(X, xi))]
+out["400x1000_eig"] = digest(S.symmetric_eigenvalues(stream[0]))  # the gaussian's M
 hashes["small"] = out
 """
 
@@ -477,7 +479,7 @@ def blas_thread_hashes():
     # imports rmtlab once
     return _hashes_at_one_and_two_blas_threads(
         "import hashlib, json\n"
-        "from rmtlab import ensemble as R, harness\n"
+        "from rmtlab import ensemble as R, harness, spectra as S\n"
         "digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()\n"
         "hashes = {}\n" + _HASH_STREAMS + _HASH_SMALL_STREAMS + "print(json.dumps(hashes))\n")
 
@@ -496,9 +498,10 @@ def test_stream_of_at_most_block_columns_is_the_same_at_any_blas_thread_count(
     # n <= block: a direct call runs on the calling thread with BLAS on one
     # thread, so its M, deg and W A W^T hash alike under 1 and 2 BLAS
     # threads (on the caller's BLAS threads they did not); so do the
-    # gaussian kernel's xi and Mbar, which at 400 x 1000 also differed
+    # gaussian kernel's xi and Mbar, which at 400 x 1000 also differed, and
+    # a direct eigensolve of its 400 x 400 M, which differed too
     one, two = (h["small"] for h in blas_thread_hashes)
-    assert len(one) == 6 and one == two
+    assert len(one) == 7 and one == two
 
 
 def _blas_threads():

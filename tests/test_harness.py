@@ -265,13 +265,27 @@ def test_run_experiment_smoke(tmp_path):
     assert "runtime_seconds" in payload
 
 
+def _at_blas_threads(counts, run):
+    """[run(count) for count in counts], each with OpenBLAS set to `count`
+    threads; the thread count is restored afterwards."""
+    get, put = _openblas_or_skip()
+    before, out = get(), []
+    try:
+        for count in counts:
+            put(count)
+            out.append(run(count))
+    finally:
+        put(before)
+    return out
+
+
 def test_run_experiment_deterministic_and_thread_invariant(tmp_path):
     cfg1 = _cfg(tmp_path, p=60, n=150, trials=4,
                 output_dir=str(tmp_path / "r1"))
     cfg2 = _cfg(tmp_path, p=60, n=150, trials=4,
                 output_dir=str(tmp_path / "r2"))
-    harness.run_experiment(cfg1, threads=1)
-    harness.run_experiment(cfg2, threads=4)
+    _at_blas_threads((1, 4), lambda count: harness.run_experiment(
+        cfg1 if count == 1 else cfg2))
     for name in ("histogram.csv", "law.csv"):
         assert (tmp_path / "r1" / name).read_bytes() \
             == (tmp_path / "r2" / name).read_bytes()
@@ -283,66 +297,65 @@ def test_semi_high_dim_multi_tile_thread_invariant(tmp_path):
     cfg = _cfg(tmp_path, regime="semi_high_dim", p=50, n=2100,
                kernel_variant="indicator", kernel_z_alpha=0.0, trials=2)
 
-    def snapshot(threads):
-        harness.run_experiment(cfg, threads=threads)
+    def snapshot(_):
+        harness.run_experiment(cfg)
         out = tmp_path / "out"
         report = json.loads((out / "report.json").read_text())
         report.pop("runtime_seconds")
         return ((out / "histogram.csv").read_bytes(), (out / "law.csv").read_bytes(),
                 json.dumps(report, sort_keys=True))
 
-    assert snapshot(1) == snapshot(2)
+    one, two = _at_blas_threads((1, 2), snapshot)
+    assert one == two
 
 
 def test_multi_tile_trials_write_the_same_bytes_at_any_trial_threads(tmp_path):
     # the eigensolve of a 400 x 400 matrix sums differently on 1 and 2 BLAS
-    # threads: a trial that ran it on one thread only while another trial's
-    # stream held BLAS on one thread would give bytes that depend on timing
+    # threads: a trial that ran it on one thread only while its stream's
+    # pool held BLAS on one thread would give bytes that depend on timing
     cfg = _cfg(tmp_path, regime="semi_high_dim", p=400, n=1100,
                kernel_variant="indicator", kernel_z_alpha=0.0, trials=4)
 
-    def snapshot(threads):
-        harness.run_experiment(cfg, threads=threads)
+    def snapshot(_):
+        harness.run_experiment(cfg)
         out = tmp_path / "out"
         report = json.loads((out / "report.json").read_text())
         report.pop("runtime_seconds")
         return (out / "histogram.csv").read_bytes(), json.dumps(report, sort_keys=True)
 
-    assert snapshot(1) == snapshot(2) == snapshot(2)
+    one, two, again = _at_blas_threads((1, 2, 2), snapshot)
+    assert one == two == again
 
 
 def test_same_seed_gives_the_same_bytes_at_any_blas_and_trial_threads(tmp_path):
     # the determinism contract: every trial of run_experiment runs on one
-    # BLAS thread, so a 200x500 indicator run gives the same bytes from four
-    # processes, under 1 and 2 BLAS threads and at --threads 1 and 2
+    # BLAS thread, so a 200x500 indicator run gives the same bytes from two
+    # processes, under 1 and 2 BLAS threads
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     digests = set()
     for blas in ("1", "2"):
-        for threads in ("1", "2"):
-            side = tmp_path / f"blas{blas}_threads{threads}"
-            side.mkdir()
-            (side / "exp.cfg").write_text(
-                "p = 200\nn = 500\ntrials = 5\nmaster_seed = 3\n"
-                "kernel.variant = indicator\nkernel.beta = 0.1\noutput_dir = run\n")
-            subprocess.run([sys.executable, "-m", "rmtlab.cli", "--threads", threads,
-                            "simulate", "--config", "exp.cfg"], cwd=side,
-                           env={**env, "OPENBLAS_NUM_THREADS": blas}, check=True,
-                           capture_output=True)
-            out = side / "run"
-            report = json.loads((out / "report.json").read_text())
-            report.pop("runtime_seconds")
-            digests.add(hashlib.sha256(
-                (out / "histogram.csv").read_bytes() + (out / "law.csv").read_bytes()
-                + json.dumps(report, sort_keys=True).encode()).hexdigest())
+        side = tmp_path / f"blas{blas}"
+        side.mkdir()
+        (side / "exp.cfg").write_text(
+            "p = 200\nn = 500\ntrials = 5\nmaster_seed = 3\n"
+            "kernel.variant = indicator\nkernel.beta = 0.1\noutput_dir = run\n")
+        subprocess.run([sys.executable, "-m", "rmtlab.cli", "simulate", "--config",
+                        "exp.cfg"], cwd=side, env={**env, "OPENBLAS_NUM_THREADS": blas},
+                       check=True, capture_output=True)
+        out = side / "run"
+        report = json.loads((out / "report.json").read_text())
+        report.pop("runtime_seconds")
+        digests.add(hashlib.sha256(
+            (out / "histogram.csv").read_bytes() + (out / "law.csv").read_bytes()
+            + json.dumps(report, sort_keys=True).encode()).hexdigest())
     assert len(digests) == 1
 
 
 def test_small_trials_run_on_pinned_workers_at_any_trial_threads(tmp_path):
     # n <= BLOCK: every trial is a task of the pinned pool with BLAS on one
-    # thread, whatever `threads` is: on the calling thread when BLAS had one
-    # thread, on the workers when it had four (with a short switch
-    # interval); the pooled eigenvalues are the same and the thread count
-    # is restored
+    # thread: on the calling thread when BLAS had one thread, on the workers
+    # when it had two or four (with a short switch interval); the pooled
+    # eigenvalues are the same and the thread count is restored
     get, put = _openblas_or_skip()
     before, switch, seen = get(), sys.getswitchinterval(), []
 
@@ -354,23 +367,21 @@ def test_small_trials_run_on_pinned_workers_at_any_trial_threads(tmp_path):
                             alpha_limit=1.0)
     cfg = _cfg(tmp_path, p=20, n=60, trials=6)
 
-    def eigenvalues(threads):
-        report = harness.run_experiment(cfg, threads=threads, kernel=K,
-                                        write_artifacts=False)
+    def eigenvalues(count):
+        put(count)
+        report = harness.run_experiment(cfg, kernel=K, write_artifacts=False)
         return report["pooled_spectrum"].eigenvalues.tobytes()
 
     try:
-        put(1)
         one = eigenvalues(1)
         on_one, seen = seen, []
-        put(4)
         sys.setswitchinterval(1e-5)
-        four = [eigenvalues(threads) for threads in (1, 2)]
+        more = [eigenvalues(count) for count in (2, 4)]
         after = get()
     finally:
         put(before)
         sys.setswitchinterval(switch)
-    assert four == [one, one] and after == 4
+    assert more == [one, one] and after == 4
     assert on_one and set(on_one) == {(threading.current_thread(), 1)}
     assert seen and all(t is not threading.current_thread() and count == 1
                         for t, count in seen)
@@ -403,37 +414,33 @@ def test_error_in_one_pooled_trial_reaches_the_caller_and_restores_blas(
 
 def test_error_in_one_multi_tile_trial_reaches_the_caller_and_restores_blas(
         tmp_path, monkeypatch):
-    # n > BLOCK at threads=2: the trials run two at a time on the pinned
-    # pool, each streaming on its own; one that fails fails the run
-    get, put = _openblas_or_skip()
-    before = get()
+    # n > BLOCK: the trials run one at a time on the calling thread, each
+    # streaming on as many workers as BLAS had threads; one that fails fails
+    # the run, at one BLAS thread and at two
     cfg = _cfg(tmp_path, p=20, n=1100, trials=3)
     failing_seed = ensemble.derive_seed(cfg.master_seed, 1)
     truncated_covariance = ensemble.truncated_covariance
+    get, _ = _openblas_or_skip()
 
     def failing(X, *args):
         if X.seed == failing_seed:
             raise FloatingPointError("trial 1 failed")
         return truncated_covariance(X, *args)
 
-    monkeypatch.setattr(ensemble, "truncated_covariance", failing)
-    try:
-        put(2)
+    def run(_):
         with pytest.raises(FloatingPointError, match="trial 1"):
-            harness.run_experiment(cfg, threads=2)
-        after = get()
-    finally:
-        put(before)
-    assert after == 2
+            harness.run_experiment(cfg)
+        return get()
+
+    monkeypatch.setattr(ensemble, "truncated_covariance", failing)
+    assert _at_blas_threads((1, 2), run) == [1, 2]
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("fit, most", [(2, 2), (0, 1)], ids=["two_fit", "none_fit"])
-def test_pooled_trials_in_flight_fit_the_byte_budget(tmp_path, monkeypatch, fit, most):
-    # four BLAS threads, but only `fit` trials fit in _TRIALS_BYTES: no more
-    # than `most` trials run at once, and the bytes are those of one worker
-    get, put = _openblas_or_skip()
-    before, lock, state = get(), threading.Lock(), {"now": 0, "peak": 0}
+def _count_trials_in_flight(monkeypatch):
+    """Replace ensemble.truncated_covariance by one that waits 50 ms and
+    counts the calls in flight; returns {"now", "peak"}."""
+    lock, state = threading.Lock(), {"now": 0, "peak": 0}
     truncated_covariance = ensemble.truncated_covariance
 
     def counted(X, *args):
@@ -447,8 +454,17 @@ def test_pooled_trials_in_flight_fit_the_byte_budget(tmp_path, monkeypatch, fit,
             with lock:
                 state["now"] -= 1
 
-    cfg = _cfg(tmp_path, p=30, n=80, trials=6)
     monkeypatch.setattr(ensemble, "truncated_covariance", counted)
+    return state
+
+
+@pytest.mark.parametrize("fit, most", [(2, 2), (0, 1)], ids=["two_fit", "none_fit"])
+def test_pooled_trials_in_flight_fit_the_byte_budget(tmp_path, monkeypatch, fit, most):
+    # four BLAS threads, but only `fit` trials fit in _TRIALS_BYTES: no more
+    # than `most` trials run at once, and the bytes are those of one worker
+    get, put = _openblas_or_skip()
+    before, state = get(), _count_trials_in_flight(monkeypatch)
+    cfg = _cfg(tmp_path, p=30, n=80, trials=6)
     try:
         put(1)
         one = harness.run_experiment(cfg, write_artifacts=False)
@@ -462,6 +478,33 @@ def test_pooled_trials_in_flight_fit_the_byte_budget(tmp_path, monkeypatch, fit,
     assert (state["peak"], after) == (most, 4)
     assert capped["pooled_spectrum"].eigenvalues.tobytes() \
         == one["pooled_spectrum"].eigenvalues.tobytes()
+
+
+def test_trials_above_one_block_run_one_at_a_time_at_any_blas_threads(
+        tmp_path, monkeypatch):
+    # n > BLOCK: even on four BLAS threads the three trials never overlap,
+    # each streaming on the pinned workers instead, and the bytes are those
+    # of one BLAS thread
+    state = _count_trials_in_flight(monkeypatch)
+    cfg = _cfg(tmp_path, p=20, n=1100, trials=3)
+
+    def run(_):
+        state["peak"] = 0
+        report = harness.run_experiment(cfg, write_artifacts=False)
+        return state["peak"], report["pooled_spectrum"].eigenvalues.tobytes()
+
+    (peak1, one), (peak4, four) = _at_blas_threads((1, 4), run)
+    assert (peak1, peak4) == (1, 1)
+    assert four == one
+
+
+def test_run_experiment_takes_and_ignores_the_threads_keyword(tmp_path):
+    # perfbench's workloads still pass threads=1
+    cfg = _cfg(tmp_path, p=60, n=150, trials=2)
+    runs = [harness.run_experiment(cfg, write_artifacts=False, **kw)
+            for kw in ({}, {"threads": 1})]
+    assert runs[0]["pooled_spectrum"].eigenvalues.tobytes() \
+        == runs[1]["pooled_spectrum"].eigenvalues.tobytes()
 
 
 def test_sweep_trials_share_one_pool_and_give_the_same_bytes_at_any_blas_threads(
@@ -534,17 +577,6 @@ def test_run_experiment_validates_config_with_kernel(tmp_path):
         harness.run_experiment(cfg, kernel=K, write_artifacts=False)
 
 
-@pytest.mark.parametrize("threads", [0, -1])
-def test_run_experiment_rejects_threads_below_one(tmp_path, monkeypatch, threads):
-    def trial(*args):
-        raise AssertionError("a trial ran")
-    monkeypatch.setattr(harness, "_trial_eigenvalues", trial)
-    cfg = _cfg(tmp_path, p=60, n=150, trials=2)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        harness.run_experiment(cfg, threads=threads)
-    assert not (tmp_path / "out").exists()
-
-
 def test_run_experiment_wide_matrix_scores_zero_eigenvalues_on_atom(tmp_path):
     # p > n: M has p - n + 1 zero eigenvalues, which the eigensolver returns
     # as +-1e-15; MP(2, 1) puts its atom of mass 1/2 at 0
@@ -589,14 +621,13 @@ def test_figure1_mean_eigenvalue_increases_with_beta(tmp_path):
 @pytest.mark.parametrize("figure, kw, match", [
     (harness.figure1, {"betas": (0.1, -3.0)}, "beta"),
     (harness.figure2, {"taus": (0.5, -1.0)}, "tau"),
-    (harness.figure1, {"betas": (0.1,), "threads": 0}, "threads"),
     (harness.figure1, {"betas": (0.1, 0.1000001)}, "beta_0.1"),
     (harness.figure2, {"taus": (1, 1.0)}, "tau_1"),
-], ids=["beta", "tau", "threads", "beta_tags_alike", "tau_tags_alike"])
+], ids=["beta", "tau", "beta_tags_alike", "tau_tags_alike"])
 def test_figure_sweep_checks_every_run_before_writing(tmp_path, figure, kw, match):
-    # an invalid last run used to leave the earlier runs' files behind,
-    # threads=0 an empty out_dir, and two values with one printed tag one
-    # directory, the second run's files over the first's
+    # an invalid last run used to leave the earlier runs' files behind, and
+    # two values with one printed tag one directory, the second run's files
+    # over the first's
     with pytest.raises(ValueError, match=match):
         figure(p=20, n=50, trials=1, out_dir=str(tmp_path / "fig"), **kw)
     assert not (tmp_path / "fig").exists()
@@ -699,13 +730,16 @@ def test_diagnostics_reductions_rejects_unbuildable_kernels(tmp_path, variant):
     ({"sigma": -1.0}, "sigma"),
     ({"mc_conditional": 50}, "mc_conditional"),
     ({"sigma": math.inf}, "sigma"),
-], ids=["p", "n", "sigma", "mc_conditional", "sigma_inf"])
+    # a repeated size or seed wrote its rows twice and its median once
+    ({"p_list": (10, 20, 10), "n_list": (40, 50, 40)}, "each p:n size once"),
+    ({"seeds": [0, 1, 0]}, "each seed once"),
+], ids=["p", "n", "sigma", "mc_conditional", "sigma_inf", "size_twice", "seed_twice"])
 def test_diagnostics_reductions_checks_inputs_before_making_its_directory(
         tmp_path, kw, match):
     # checked before any case runs on the pool, and before out_dir is made
-    kw = {"p_list": (10,), "n_list": (40,), **kw}
+    kw = {"p_list": (10,), "n_list": (40,), "seeds": [0], **kw}
     with pytest.raises(ValueError, match=match):
-        harness.diagnostics_reductions(seeds=[0], out_dir=str(tmp_path / "diag"), **kw)
+        harness.diagnostics_reductions(out_dir=str(tmp_path / "diag"), **kw)
     assert not (tmp_path / "diag").exists()
 
 
@@ -848,16 +882,6 @@ def test_cli_simulate_invalid_config(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("frobnicate = 1\n")
     assert cli.main(["simulate", "--config", str(path)]) == 2
-
-
-@pytest.mark.parametrize("threads", ["0", "-1", "1.5"])
-def test_cli_rejects_threads_below_one(tmp_path, capsys, threads):
-    path = _write_small_config(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main([f"--threads={threads}", "simulate", "--config", str(path)])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-    assert not (tmp_path / "cli_out").exists()
 
 
 def test_cli_check_breach_exit_code(tmp_path, monkeypatch):
@@ -1004,11 +1028,12 @@ def _exit_code(argv):
 @pytest.mark.parametrize("args", [["--sizes", "100"],
                                   ["--sizes", "40:100", "--seeds", "0"],
                                   ["--sizes", "40:100", "--seeds", "-2"],
-                                  ["--sizes", "100:,200:500"]])
+                                  ["--sizes", "100:,200:500"],
+                                  ["--sizes", "20:50,20:50", "--seeds", "2"]])
 def test_cli_diagnostics_rejects_bad_input(tmp_path, args):
     out = tmp_path / "diag"
     assert _exit_code(["diagnostics", *args, "--out", str(out)]) == 2
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["figure1", "--betas", "0.1,0.1000001"],
