@@ -45,8 +45,9 @@ def build_parser():
     sc.add_argument("--trials", type=int, default=3)
     sc.add_argument("--kernel", default="indicator",
                     choices=("indicator", "constant", "gaussian"))
-    sc.add_argument("--z-alpha", type=float, default=0.0)
-    sc.add_argument("--tau", type=float, default=1.0)
+    sc.add_argument("--z-alpha", type=float,
+                    help="indicator kernel parameter (default 0)")
+    sc.add_argument("--tau", type=float, help="gaussian kernel bandwidth (default 1)")
     sc.add_argument("--out", default="sc_out")
 
     diag = sub.add_parser("diagnostics", help="reduction-gap diagnostics")
@@ -60,14 +61,12 @@ def build_parser():
 
     law = sub.add_parser("law", help="emit density/CDF grids without simulation")
     law.add_argument("--type", required=True, choices=("mp", "sc", "genmp"))
-    law.add_argument("--c", type=float, default=0.4)
-    law.add_argument("--scale", type=float, default=1.0,
-                     help="MP variance scale")
-    law.add_argument("--variance", type=float, default=1.0,
-                     help="SC variance parameter")
-    law.add_argument("--sigma", type=float, default=1.0)
-    law.add_argument("--z-alpha", type=float, default=0.0,
-                     help="genmp indicator-kernel parameter")
+    law.add_argument("--c", type=float, help="mp and genmp aspect ratio p/n (default 0.4)")
+    law.add_argument("--scale", type=float, help="mp variance scale (default 1)")
+    law.add_argument("--variance", type=float, help="sc variance parameter (default 1)")
+    law.add_argument("--sigma", type=float, help="genmp entry sd (default 1)")
+    law.add_argument("--z-alpha", type=float,
+                     help="genmp indicator-kernel parameter (default 0)")
     law.add_argument("--x-lo", type=float, default=None)
     law.add_argument("--x-hi", type=float, default=None)
     law.add_argument("--points", type=int, default=400)
@@ -137,9 +136,10 @@ def _gate(report, prefix=""):
 
 
 def _cmd_semicircle(args):
+    tau = 1.0 if args.tau is None and args.kernel == "gaussian" else args.tau
     report = harness.semicircle_experiment(
         p=args.p, n=args.n, kernel_variant=args.kernel,
-        kernel_z_alpha=args.z_alpha, kernel_tau=args.tau, sigma=args.sigma,
+        kernel_z_alpha=args.z_alpha, kernel_tau=tau, sigma=args.sigma,
         trials=args.trials, seed=args.seed, out_dir=args.out, check=args.check)
     _print_report(report)
     return _gate(report)
@@ -157,7 +157,19 @@ def _cmd_diagnostics(args):
     return 0
 
 
+# the parameter flags each `rmt law --type` reads, with their defaults
+_LAW_FLAGS = {"mp": {"c": 0.4, "scale": 1.0}, "sc": {"variance": 1.0},
+              "genmp": {"c": 0.4, "sigma": 1.0, "z_alpha": 0.0}}
+
+
 def _cmd_law(args):
+    reads = _LAW_FLAGS[args.type]
+    for name in ("c", "scale", "variance", "sigma", "z_alpha"):
+        if getattr(args, name) is None:
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to "
+                             f"--type {args.type}")
     if args.type == "sc":
         law = laws.SCLaw(variance=args.variance)
         r = 1.1 * law.radius

@@ -585,24 +585,23 @@ def _chi_mean(f, p):
     return float((hi - lo) / 2.0 * np.dot(w, np.exp(log_dens) * f(r**2)))
 
 
-def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian",
-            mc_samples=10**5, seed=0, return_stderr=False):
-    """E K(X1, X2): closed form where available, else Monte Carlo.
-
-    Closed forms (Gaussian entries): gaussian kernel via the chi-square MGF,
-    indicator kernel via the chi-square CDF of ||X1 - X2||^2 / (2 sigma^2).
-    """
-    val, se = None, 0.0
+def _chi_kernel_mean(K: KernelSpec, sigma, k):
+    """E K at squared distance 2 sigma^2 Q, Q ~ chi-square(k), for a built-in
+    kernel: the chi-square CDF for the indicator, its MGF for the gaussian one.
+    Gaussian entries give ||X1 - X2||^2 = 2 sigma^2 Q at k = p."""
     if K.variant == "constant":
-        val = 1.0
-    elif K.variant == "indicator" and entry_law == "gaussian":
-        val = float(special.chdtr(K.dimension, K.radius**2 / (2.0 * sigma**2)))
-    elif K.variant == "gaussian" and entry_law == "gaussian":
-        p = K.dimension
-        val = 1.0 - (1.0 + 2.0 * sigma**2 / (p * K.tau**2)) ** (-p / 2.0)
-    else:
-        val, se = _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed)
-    return (val, se) if return_stderr else val
+        return 1.0
+    if K.variant == "indicator":
+        return float(special.chdtr(k, K.radius**2 / (2.0 * sigma**2)))
+    return 1.0 - (1.0 + 2.0 * sigma**2 / (K.dimension * K.tau**2)) ** (-k / 2.0)
+
+
+def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian", mc_samples=10**5, seed=0):
+    """E K(X1, X2): `_chi_kernel_mean` at k = p for the constant kernel and,
+    with Gaussian entries, the other built-in ones; else Monte Carlo."""
+    if K.variant == "constant" or (K.variant != "custom" and entry_law == "gaussian"):
+        return _chi_kernel_mean(K, sigma, K.dimension)
+    return _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed)[0]
 
 
 def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
@@ -640,22 +639,16 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, n=None,
     """Exact mean eigenvalue of M: E tr M / p = ((n-1)/(2 n p)) E[K(X1,X2) d12]
     with d12 = ||X1 - X2||^2.
 
-    For Gaussian entries d12 = 2 sigma^2 Q with Q ~ chi-square(p), which gives
-    closed forms for the built-in kernels; other combinations use Monte Carlo.
+    For Gaussian entries d12 = 2 sigma^2 Q, Q ~ chi-square(p), and E[K Q] =
+    p E K under chi-square(p + 2): the mean is (n-1)/n sigma^2 `_chi_kernel_mean`
+    at k = p + 2, the constant kernel's at any entry law; else Monte Carlo.
     """
     p = K.dimension
     if n is None or n < 2:
         raise ValueError("expected_mean_eigenvalue needs the sample size n >= 2")
     pref = (n - 1.0) / n
-    if K.variant == "constant":
-        return float(pref * sigma**2)
-    if K.variant == "indicator" and entry_law == "gaussian":
-        t = K.radius**2 / (2.0 * sigma**2)
-        return float(pref * sigma**2 * special.chdtr(p + 2, t))
-    if K.variant == "gaussian" and entry_law == "gaussian":
-        return float(pref * sigma**2
-                     * (1.0 - (1.0 + 2.0 * sigma**2 / (p * K.tau**2))
-                        ** (-p / 2.0 - 1.0)))
+    if K.variant == "constant" or (K.variant != "custom" and entry_law == "gaussian"):
+        return float(pref * sigma**2 * _chi_kernel_mean(K, sigma, p + 2))
     def kernel_times_sqdist(x1, x2):
         sq = _sqnorm_diff(x1, x2)
         return K.eval_sqdist(sq) * sq

@@ -150,6 +150,19 @@ def _file_key(field_name):
         else field_name
 
 
+def _run_kernel(config: ExperimentConfig, kernel=None):
+    """The kernel a run of `config` uses: config.kernel(), or `kernel`, which
+    must be custom of dimension config.p or equal config.kernel()."""
+    if kernel is None:
+        return config.kernel()
+    if kernel.variant == "custom" and kernel.dimension != config.p:
+        raise ValueError(f"custom kernel dimension {kernel.dimension} != p = {config.p}")
+    if kernel.variant != "custom" and kernel != config.kernel():
+        raise ValueError(f"kernel {kernel} contradicts the config's kernel "
+                         f"{config.kernel()}")
+    return kernel
+
+
 # ---------------------------------------------------------------------------
 # Law prediction selection
 # ---------------------------------------------------------------------------
@@ -165,11 +178,7 @@ def select_prediction(config: ExperimentConfig, kernel=None):
     """
     c = config.p / config.n
     sigma = config.sigma
-    if kernel is not None and kernel.variant != "custom" \
-            and kernel != config.kernel():
-        raise ValueError(f"kernel {kernel} contradicts the config's kernel "
-                         f"{config.kernel()}")
-    K = kernel if kernel is not None else config.kernel()
+    K = _run_kernel(config, kernel)
     if K.variant == "custom" and config.regime == "proportional":
         if K.alpha_limit is None:
             return None, {"kind": "none"}
@@ -295,7 +304,7 @@ def run_experiment(config: ExperimentConfig, threads=None, check=False,
     the pooled spectrum and the predicted law object."""
     config.validate()
     t0 = time.perf_counter()
-    K = kernel if kernel is not None else config.kernel()
+    K = _run_kernel(config, kernel)
     [(prediction, eigs)] = _simulate([(config, K)])
     return _score(config, K, prediction, eigs, t0, check, write_artifacts)
 
@@ -344,14 +353,12 @@ def _score(config, K, prediction, eigs, t0, check, write_artifacts):
         out.mkdir(parents=True, exist_ok=True)
         hist = spectra.histogram(pooled, config.histogram_bins)
         write_histogram_csv(out / "histogram.csv", hist)
+        report["artifacts"] = {"histogram": str(out / "histogram.csv")}
         if law is not None:
             write_law_csv(out / "law.csv", law, _law_grid(law, pooled))
+            report["artifacts"]["law"] = str(out / "law.csv")
         write_report_json(out / "report.json", report)
-        report["artifacts"] = {
-            "histogram": str(out / "histogram.csv"),
-            "law": str(out / "law.csv"),
-            "report": str(out / "report.json"),
-        }
+        report["artifacts"]["report"] = str(out / "report.json")
     report["pooled_spectrum"] = pooled
     report["law"] = law
     return report
@@ -471,20 +478,20 @@ def _sweep(runs, out_dir, prefix, overlay, check, **common):
 
 
 def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
-                          kernel_z_alpha=0.0, kernel_tau=None, sigma=1.0,
+                          kernel_z_alpha=None, kernel_tau=None, sigma=1.0,
                           trials=3, seed=0, out_dir="sc_out", threads=None,
                           check=False):
     """Semi-high-dimensional run comparing the centered, rescaled spectrum with
     the predicted semicircle law: run_experiment on the semi_high_dim config
-    of these arguments. `threads` is read by nothing, as in run_experiment."""
+    of these arguments, so a kernel_z_alpha (0 by default for the indicator)
+    or kernel_tau given to a kernel that does not read it is an error.
+    `threads` is read by nothing, as in run_experiment."""
+    if kernel_variant == "indicator" and kernel_z_alpha is None:
+        kernel_z_alpha = 0.0
     cfg = ExperimentConfig(regime="semi_high_dim", p=p, n=n, sigma=sigma,
                            trials=trials, master_seed=seed,
-                           kernel_variant=kernel_variant,
-                           kernel_z_alpha=kernel_z_alpha
-                           if kernel_variant == "indicator" else None,
-                           kernel_tau=kernel_tau
-                           if kernel_variant == "gaussian" else None,
-                           output_dir=out_dir)
+                           kernel_variant=kernel_variant, kernel_z_alpha=kernel_z_alpha,
+                           kernel_tau=kernel_tau, output_dir=out_dir)
     return run_experiment(cfg, check=check)
 
 

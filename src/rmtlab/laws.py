@@ -234,7 +234,7 @@ class DMoments:
 
 
 def d_moments(d="squared_difference", entry_law="gaussian", sigma=1.0,
-              mc_samples=10**6, seed=0, return_stderr=False):
+              mc_samples=10**6, seed=0):
     """Moments of d(w, w') for i.i.d. entries w, w'.
 
     Closed form for d(x, y) = (x - y)^2 with Gaussian entries:
@@ -244,9 +244,8 @@ def d_moments(d="squared_difference", entry_law="gaussian", sigma=1.0,
     """
     if d == "squared_difference" and entry_law == "gaussian":
         s4 = sigma**4
-        mom = DMoments(m1=2 * sigma**2, m2=8 * s4, m2_1=2 * s4, m2_2=6 * s4)
-        return (mom, {"m1": 0.0, "m2": 0.0}) if return_stderr else mom
-    return _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr)
+        return DMoments(m1=2 * sigma**2, m2=8 * s4, m2_1=2 * s4, m2_2=6 * s4)
+    return _d_moments_mc(d, entry_law, sigma, mc_samples, seed)[0]
 
 
 def _d_eval(d, x, y):
@@ -259,7 +258,7 @@ def _d_eval(d, x, y):
     raise ValueError(f"unknown pair function {d!r}")
 
 
-def _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr):
+def _d_moments_mc(d, entry_law, sigma, mc_samples, seed):
     rng = rng_from_seed(seed, stream=(0xD,))
     n_outer = max(200, int(np.sqrt(mc_samples)))
     n_inner = max(200, mc_samples // n_outer)
@@ -274,7 +273,7 @@ def _d_moments_mc(d, entry_law, sigma, mc_samples, seed, return_stderr):
     mom = DMoments(m1=m1, m2=m2_1 + m2_2, m2_1=m2_1, m2_2=m2_2)
     se = {"m1": float(cond_mean.std(ddof=1) / np.sqrt(n_outer)),
           "m2": float(vals.var(ddof=1) / np.sqrt(n_outer))}
-    return (mom, se) if return_stderr else mom
+    return mom, se
 
 
 def zeta_general(phi_tilde, moments: DMoments, n_outer=64, n_inner=64) -> ZetaDistribution:

@@ -748,8 +748,7 @@ def test_alpha_monte_carlo_path():
     K = KernelSpec(variant="indicator", dimension=30,
                    radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 30))
     closed = R.alpha_p(K, sigma=1.0)
-    mc, se = R.alpha_p(K, sigma=1.0, entry_law="uniform_centered",
-                       mc_samples=4 * 10**4, seed=1, return_stderr=True)
+    mc, se = _kernel_moment_mc(K, "uniform_centered", 1.0, 4 * 10**4, 1)
     # different entry law, but the CLT distance distribution is close at p=30
     assert abs(mc - closed) < 0.05
     assert se > 0
@@ -782,9 +781,9 @@ def test_pair_moment_closed_forms_match_monte_carlo():
 _CHI_GRID = [(p, z) for p in (1, 3, 5, 20, 100, 400, 3200) for z in (-1.0, 0.0, 1.0)]
 
 
-def _indicator(p, z_alpha):
+def _indicator(p, z_alpha, sigma=1.0):
     return KernelSpec(variant="indicator", dimension=p,
-                      radius=R.indicator_radius_from_z_alpha(z_alpha, 1.0, p))
+                      radius=R.indicator_radius_from_z_alpha(z_alpha, sigma, p))
 
 
 @pytest.mark.parametrize("p, z_alpha", _CHI_GRID)
@@ -817,6 +816,34 @@ def test_indicator_pair_moment_matches_adaptive_quadrature_in_r(p, z_alpha):
         ref, _ = integrate.quad(f, max(0.0, s - 12.0), s + 12.0, points=[s],
                                 epsabs=1e-16, epsrel=1e-14, limit=200)
     assert abs(R.pair_kernel_moment(K) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 3, 20, 400])
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+def test_chi_kernel_mean_is_the_chi_square_weighted_kernel_mean(sigma, p, j):
+    # E[K(2 sigma^2 Q) Q^j] / (p (p + 2)...(p + 2j - 2)) with Q ~ chi-square(p)
+    # is the rule at k = p + 2j: alpha_p at j = 0, the mean eigenvalue's at
+    # j = 1 and the second moment's at j = 2. The reference integrates in
+    # r = sqrt(Q) adaptively, cut at the indicator's radius
+    from scipy import integrate, special
+    log_norm = (special.gammaln(p / 2) + (p / 2 - 1) * np.log(2.0)
+                + sum(np.log(p + 2.0 * i) for i in range(j)))
+    s, k = np.sqrt(p), p + 2 * j
+    lo, hi = max(0.0, np.sqrt(k) - 12.0), np.sqrt(k) + 12.0
+    for K in (_indicator(p, -1.0, sigma), _indicator(p, 0.5, sigma),
+              KernelSpec(variant="gaussian", dimension=p, tau=0.7)):
+        def f(r):
+            dens = np.exp(special.xlogy(p - 1 + 2 * j, r) - r * r / 2 - log_norm)
+            return dens * K.eval_sqdist(2.0 * sigma**2 * r * r)
+
+        top = min(hi, K.radius / (np.sqrt(2.0) * sigma)) if K.radius is not None else hi
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            ref, _ = integrate.quad(f, min(lo, top), top,
+                                    points=[x for x in (s, np.sqrt(k)) if lo < x < top],
+                                    epsabs=1e-16, epsrel=1e-14, limit=200)
+        assert abs(R._chi_kernel_mean(K, sigma, k) - ref) <= 1e-12
 
 
 def test_expected_mean_eigenvalue_closed_forms():
@@ -878,11 +905,12 @@ MC_PINS = {
 def test_monte_carlo_moments_are_pinned(entry_law, p, mc_samples):
     K = KernelSpec(variant="custom", dimension=p, profile=lambda t: np.exp(-t / (2.0 * p)))
     kw = dict(entry_law=entry_law, mc_samples=mc_samples, seed=11)
-    got = (*R.alpha_p(K, 1.0, return_stderr=True, **kw),
+    got = (*_kernel_moment_mc(K, entry_law, 1.0, mc_samples, 11),
            R.pair_kernel_moment(K, 1.0, **kw),
            R.expected_mean_eigenvalue(K, 1.0, n=200, **kw))
     assert all(type(v) is float for v in got)
     assert got == MC_PINS[(entry_law, p, mc_samples)]
+    assert R.alpha_p(K, 1.0, **kw) == got[0]
 
 
 # ---------------------------------------------------------------------------

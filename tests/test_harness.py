@@ -569,6 +569,37 @@ def test_run_experiment_rejects_kernel_contradicting_config(tmp_path):
         cfg, write_artifacts=False)["pooled_ks"]
 
 
+@pytest.mark.parametrize("kernel", [
+    ensemble.KernelSpec(variant="gaussian", dimension=60, tau=1.3),
+    ensemble.KernelSpec(variant="custom", dimension=59, profile=lambda t: np.ones_like(t)),
+], ids=["contradicts", "custom_dimension"])
+def test_run_experiment_checks_its_kernel_before_any_trial(tmp_path, monkeypatch, kernel):
+    # the kernel used to be checked while the trials ran, by the proportional
+    # run's law, or by the first trial's stream
+    state = _count_trials_in_flight(monkeypatch)
+    cfg = _cfg(tmp_path, p=60, n=150, trials=6)
+    with pytest.raises(ValueError, match="contradicts|dimension 59"):
+        harness.run_experiment(cfg, kernel=kernel)
+    assert state["peak"] == 0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha_limit, listed", [(1.0, True), (None, False)],
+                         ids=["law", "no_prediction"])
+def test_report_lists_law_csv_only_when_written(tmp_path, alpha_limit, listed):
+    # a stale law.csv of an earlier run in the same directory is not listed
+    cfg = _cfg(tmp_path, p=30, n=80, trials=1)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "law.csv").write_text("stale\n")
+    K = ensemble.KernelSpec(variant="custom", dimension=30,
+                            profile=lambda t: np.ones_like(t), alpha_limit=alpha_limit)
+    artifacts = harness.run_experiment(cfg, kernel=K)["artifacts"]
+    assert ("law" in artifacts) is listed
+    assert set(artifacts) - {"law"} == {"histogram", "report"}
+    assert all(Path(path).exists() for path in artifacts.values())
+    assert ((tmp_path / "out" / "law.csv").read_text() == "stale\n") is not listed
+
+
 def test_run_experiment_validates_config_with_kernel(tmp_path):
     cfg = _cfg(tmp_path, p=60, n=150, trials=0)
     K = ensemble.KernelSpec(variant="custom", dimension=60,
@@ -982,10 +1013,15 @@ def test_cli_linalg_failure_exit_code(monkeypatch):
     ["--type", "sc", "--variance", "inf"], ["--type", "sc", "--variance", "nan"],
     ["--type", "genmp", "--z-alpha", "nan"], ["--type", "genmp", "--c", "inf"],
     ["--type", "genmp", "--sigma", "inf"],
+    ["--type", "mp", "--variance", "2"], ["--type", "mp", "--z-alpha", "3"],
+    ["--type", "sc", "--scale", "5"], ["--type", "sc", "--c", "0.3"],
+    ["--type", "genmp", "--variance", "9", "--scale", "3"],
 ], ids=["mp_scale_inf", "mp_c_nan", "sc_variance_inf", "sc_variance_nan",
-        "genmp_z_alpha_nan", "genmp_c_inf", "genmp_sigma_inf"])
+        "genmp_z_alpha_nan", "genmp_c_inf", "genmp_sigma_inf", "mp_variance",
+        "mp_z_alpha", "sc_scale", "sc_c", "genmp_variance_scale"])
 def test_cli_law_rejects_non_finite_parameters_before_writing(tmp_path, args):
-    # these used to exit 0 with nan rows, or 3 after a failed inversion
+    # these used to exit 0 with nan rows, or 3 after a failed inversion; the
+    # last five, flags the law type does not read, exited 0 ignoring the flag
     out = tmp_path / "laws" / "law.csv"
     assert cli.main(["law", *args, "--out", str(out)]) == 2
     assert not (tmp_path / "laws").exists()
@@ -1006,6 +1042,35 @@ def test_cli_law_outputs(tmp_path):
                      "--points", "200", "--out", str(genmp_out)]) == 0
     glines = genmp_out.read_text().strip().splitlines()
     assert len(glines) == 201
+
+
+@pytest.mark.parametrize("kernel, flag", [("indicator", "--tau"), ("gaussian", "--z-alpha"),
+                                          ("constant", "--tau"), ("constant", "--z-alpha")],
+                         ids=["indicator_tau", "gaussian_z_alpha", "constant_tau",
+                              "constant_z_alpha"])
+def test_cli_semicircle_rejects_a_flag_its_kernel_does_not_read(tmp_path, capsys, kernel,
+                                                                 flag):
+    # each used to exit 0, with the flag's value echoed as null
+    out = tmp_path / "sc"
+    assert cli.main(["semicircle", "--p", "30", "--n", "500", "--trials", "1", "--kernel",
+                     kernel, flag, "3", "--out", str(out)]) == 2
+    assert "applies only to" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_keeps_the_defaults_of_the_flags_a_run_reads(tmp_path):
+    runs = [["--type", "mp"], ["--type", "mp", "--c", "0.4", "--scale", "1"],
+            ["--type", "genmp", "--points", "50"],
+            ["--type", "genmp", "--points", "50", "--c", "0.4", "--sigma", "1",
+             "--z-alpha", "0"]]
+    for k, args in enumerate(runs):
+        assert cli.main(["law", *args, "--out", str(tmp_path / f"{k}.csv")]) == 0
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "3.csv").read_bytes()
+    assert cli.main(["semicircle", "--p", "30", "--n", "500", "--trials", "1",
+                     "--kernel", "gaussian", "--out", str(tmp_path / "sc")]) == 0
+    config = json.loads((tmp_path / "sc" / "report.json").read_text())["config"]
+    assert (config["kernel_tau"], config["kernel_z_alpha"]) == (1.0, None)
 
 
 @pytest.mark.parametrize("law_type", ["mp", "sc", "genmp"])
