@@ -137,10 +137,16 @@ def _gate(report, prefix=""):
 
 def _cmd_semicircle(args):
     tau = 1.0 if args.tau is None and args.kernel == "gaussian" else args.tau
-    report = harness.semicircle_experiment(
-        p=args.p, n=args.n, kernel_variant=args.kernel,
-        kernel_z_alpha=args.z_alpha, kernel_tau=tau, sigma=args.sigma,
-        trials=args.trials, seed=args.seed, out_dir=args.out, check=args.check)
+    try:
+        report = harness.semicircle_experiment(
+            p=args.p, n=args.n, kernel_variant=args.kernel,
+            kernel_z_alpha=args.z_alpha, kernel_tau=tau, sigma=args.sigma,
+            trials=args.trials, seed=args.seed, out_dir=args.out, check=args.check)
+    except ValueError as exc:  # name the flag of a kernel.<key> the config rejects
+        key, _, rest = str(exc).partition(" ")
+        if not key.startswith("kernel."):
+            raise
+        raise ValueError(f"--{key[len('kernel.'):].replace('_', '-')} {rest}") from None
     _print_report(report)
     return _gate(report)
 

@@ -256,6 +256,11 @@ def _pool(most=None):
                 blas[1](_pinned["threads"])
 
 
+def _is_one(K: KernelSpec):
+    """K is 1 at every distance: the constant kernel, or an infinite-radius indicator."""
+    return K.variant == "constant" or (K.variant == "indicator" and K.radius == np.inf)
+
+
 def _side(block):
     """The side, ceil(block / 2), of the tiles of every walk of a kernel
     matrix: the stream's for any n, and the conditional means'."""
@@ -345,9 +350,9 @@ class _Tiles:
 def _tile_rule(W, V, K, sqn, sqv, side):
     """tile(lo, hi, lo2, hi2): the float64 kernel values K(w_i, v_j) of the
     columns lo:hi of W against lo2:hi2 of V, at most side x side, in one
-    buffer that the next call overwrites. A finite-radius indicator's tiles
-    are decided by `_IndicatorTiles`, every other kernel's by `_kernel_tile`."""
-    if K.variant == "indicator" and K.radius < np.inf:
+    buffer that the next call overwrites. An indicator's tiles are decided by
+    `_IndicatorTiles`, every other kernel's by `_kernel_tile`."""
+    if K.variant == "indicator":
         return _IndicatorTiles(W, V, sqn, sqv, K.radius**2, side).fill
     buf = np.empty(min(side, W.shape[1]) * min(side, V.shape[1]))
 
@@ -362,8 +367,6 @@ def _tile_rule(W, V, K, sqn, sqv, side):
 def _kernel_tile(K, A, Wi, Vj, sqn_i, sqn_j):
     """Kernel values K(w_i, v_j) into A: the float64 Gram block Wi^T Vj,
     turned into kernel values a cache-sized chunk of rows at a time."""
-    if K.variant == "constant":  # every value is 1: no Gram needed
-        return A.fill(1.0)
     np.matmul(Wi.T, Vj, out=A)
     rows = max(1, _CHUNK_BYTES // A[0].nbytes)
     for r in range(0, len(A), rows):
@@ -401,7 +404,7 @@ class _IndicatorTiles:
     the margins. A diagonal tile of the symmetric stream is exactly
     symmetric: a pair outside the band takes the sign of its exact margin,
     one inside it the formula, both symmetric in i and j. The radius must be
-    finite: an infinite one, 1 everywhere, is formed by `_kernel_tile`.
+    finite: an infinite one, 1 everywhere, is never walked (`_is_one`).
     """
 
     def __init__(self, W, V, sqn, sqv, r2, block):
@@ -485,14 +488,21 @@ def covariance_and_stream(X: DataMatrix, K: KernelSpec, block=BLOCK):
     stream and W diag(deg) W^T run on one `_pool()` with BLAS on one
     thread: on the calling thread for n <= block, else on as many workers
     as BLAS had threads, so every bit is the same at any BLAS thread count.
-    W diag(deg) W^T's buffers are made after the stream's are freed."""
+    W diag(deg) W^T's buffers are made after the stream's are freed. A kernel
+    that is 1 at every distance (`_is_one`) streams nothing: M is then the
+    centred sample covariance ((n - 1) G - W A W^T) / n^2, with G = W W^T."""
     if K.dimension != X.p:
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    with _pool(1 if X.n <= block else None) as workers:
-        deg, xaxt = _stream(X, K, block, workers)
-        M = _weighted_gram(X.entries, deg, block, workers)
+    if _is_one(K):  # L = n I - 1 1^T: deg = n - 1 and W A W^T = s s^T - G
+        with _pool(1):
+            G, s = X.entries @ X.entries.T, X.entries.sum(axis=1)
+        deg, xaxt, M = np.full(X.n, X.n - 1.0), np.outer(s, s) - G, (X.n - 1.0) * G
+    else:
+        with _pool(1 if X.n <= block else None) as workers:
+            deg, xaxt = _stream(X, K, block, workers)
+            M = _weighted_gram(X.entries, deg, block, workers)
     M -= xaxt
     M /= X.n**2
     return 0.5 * (M + M.T), deg, xaxt
@@ -676,6 +686,8 @@ def xi_conditional(X: DataMatrix, K: KernelSpec, mc_conditional=2000, seed=0):
         raise ValueError(f"kernel dimension {K.dimension} != data dimension {X.p}")
     if mc_conditional < 100:
         raise ValueError("mc_conditional must be >= 100")
+    if _is_one(K):  # no V drawn: it has its own substream
+        return np.ones(X.n)
     rng = rng_from_seed(seed, stream=(0xD1A6,))
     V = draw_entries(rng, X.entry_law, X.sigma, (X.p, mc_conditional))
     with _pool(1):

@@ -357,6 +357,8 @@ def _score(config, K, prediction, eigs, t0, check, write_artifacts):
         if law is not None:
             write_law_csv(out / "law.csv", law, _law_grid(law, pooled))
             report["artifacts"]["law"] = str(out / "law.csv")
+        else:  # an earlier run's law.csv would be read as this run's
+            (out / "law.csv").unlink(missing_ok=True)
         write_report_json(out / "report.json", report)
         report["artifacts"]["report"] = str(out / "report.json")
     report["pooled_spectrum"] = pooled

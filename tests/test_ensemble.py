@@ -187,7 +187,13 @@ KERNELS = {
     "indicator": {"radius": 9.0},
     "gaussian": {"tau": 0.8},
     "custom": {"profile": lambda sq: 1.0 / (1.0 + sq / 50.0)},
+    # 1 at every distance, as the constant kernel: M by the same closed form
+    "infinite_radius": {"variant": "indicator", "radius": np.inf},
 }
+
+
+def _kernel(name, p):
+    return KernelSpec(**{"variant": name, **KERNELS[name]}, dimension=p)
 
 
 @pytest.mark.parametrize("variant", sorted(KERNELS))
@@ -199,7 +205,7 @@ KERNELS = {
 ])
 def test_streamed_equals_pair_sum(variant, n, block):
     X = sample_data_matrix(50, n, seed=11)
-    K = KernelSpec(variant=variant, dimension=50, **KERNELS[variant])
+    K = _kernel(variant, 50)
     M1 = truncated_covariance_direct(X, K)
     M2 = truncated_covariance(X, K, block=block)
     assert np.linalg.norm(M1 - M2) <= 1e-10 * max(np.linalg.norm(M1), 1e-30)
@@ -211,7 +217,7 @@ def test_stream_over_many_row_chunks_equals_pair_sum(variant):
     # 1024-wide tiles and a 52-wide ragged one per row, with block 700 six
     # 350-wide tiles whose chunks do not divide 350
     X = sample_data_matrix(40, 2100, seed=21)
-    K = KernelSpec(variant=variant, dimension=40, **KERNELS[variant])
+    K = _kernel(variant, 40)
     M1 = truncated_covariance_direct(X, K)
     A = kernel_matrix(K, X.entries)
     np.fill_diagonal(A, 0.0)
@@ -241,7 +247,7 @@ def test_stream_xaxt_is_exactly_symmetric(variant, block):
     # W A W^T = S + S^T from the row panels; n = 2100 gives a ragged last
     # tile at 1024 and 64 (512 and 32 wide), six equal ones at 700
     X = sample_data_matrix(20, 2100, seed=5)
-    K = KernelSpec(variant=variant, dimension=20, **KERNELS[variant])
+    K = _kernel(variant, 20)
     _, xaxt = covariance_and_stream(X, K, block=block)[1:]
     assert np.array_equal(xaxt, xaxt.T)
 
@@ -359,8 +365,8 @@ def test_indicator_xi_does_not_move_under_power_of_two_scaling(k):
 
 @pytest.mark.parametrize("n", [50, 1500], ids=["one_tile", "tiles"])
 def test_infinite_radius_indicator_is_the_constant_kernel(n):
-    # 1 everywhere, formed as a smooth kernel's tile: the float32 margin
-    # operands of an infinite radius would not be finite and warn
+    # 1 everywhere: both kernels take the closed form (`_is_one`), so the
+    # float32 margins of an infinite radius, not finite, are never formed
     X = sample_data_matrix(20, n, seed=3)
     K = KernelSpec(variant="indicator", dimension=20, radius=np.inf)
     with warnings.catch_warnings():
@@ -438,7 +444,8 @@ def test_default_stream_memory_is_one_512_tile_per_worker():
 
 _HASH_STREAMS = """
 X = R.sample_data_matrix(60, 2500, seed=3)
-kernels = (R.KernelSpec(variant="indicator", dimension=60,
+kernels = (R.KernelSpec(variant="constant", dimension=60),
+           R.KernelSpec(variant="indicator", dimension=60,
                         radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 60)),
            R.KernelSpec(variant="gaussian", dimension=60, tau=1.0))
 out = {K.variant: [digest(a) for a in R.covariance_and_stream(X, K)] for K in kernels}
@@ -453,7 +460,8 @@ _HASH_SMALL_STREAMS = """
 out = {}
 for p, n in ((200, 500), (400, 1000)):
     X = R.sample_data_matrix(p, n, seed=3)
-    for K in (R.KernelSpec(variant="indicator", dimension=p,
+    for K in (R.KernelSpec(variant="constant", dimension=p),
+              R.KernelSpec(variant="indicator", dimension=p,
                            radius=R.indicator_radius_from_z_alpha(0.0, 1.0, p)),
               R.KernelSpec(variant="gaussian", dimension=p, tau=1.0)):
         stream = R.covariance_and_stream(X, K)
@@ -487,8 +495,8 @@ def blas_thread_hashes():
 def test_multi_tile_stream_is_the_same_at_any_blas_thread_count(blas_thread_hashes):
     # n > block: the row blocks run on as many workers as BLAS had threads,
     # with BLAS on one thread and the sums taken in row-block order, so M,
-    # deg and W A W^T hash alike under 1 and 2 BLAS threads; a trial runs
-    # its eigensolve under the same pin, so its eigenvalues do too
+    # deg and W A W^T hash alike under 1 and 2 BLAS threads; the constant
+    # kernel's closed form and a trial's eigensolve run under the same pin
     one, two = (h["multi_tile"] for h in blas_thread_hashes)
     assert one == two
 
@@ -497,11 +505,12 @@ def test_stream_of_at_most_block_columns_is_the_same_at_any_blas_thread_count(
         blas_thread_hashes):
     # n <= block: a direct call runs on the calling thread with BLAS on one
     # thread, so its M, deg and W A W^T hash alike under 1 and 2 BLAS
-    # threads (on the caller's BLAS threads they did not); so do the
-    # gaussian kernel's xi and Mbar, which at 400 x 1000 also differed, and
-    # a direct eigensolve of its 400 x 400 M, which differed too
+    # threads (on the caller's BLAS threads they did not), the constant
+    # kernel's closed form too; so do the gaussian kernel's xi and Mbar,
+    # which at 400 x 1000 also differed, and a direct eigensolve of its
+    # 400 x 400 M, which differed too
     one, two = (h["small"] for h in blas_thread_hashes)
-    assert len(one) == 7 and one == two
+    assert len(one) == 9 and one == two
 
 
 def _blas_threads():

@@ -587,7 +587,8 @@ def test_run_experiment_checks_its_kernel_before_any_trial(tmp_path, monkeypatch
 @pytest.mark.parametrize("alpha_limit, listed", [(1.0, True), (None, False)],
                          ids=["law", "no_prediction"])
 def test_report_lists_law_csv_only_when_written(tmp_path, alpha_limit, listed):
-    # a stale law.csv of an earlier run in the same directory is not listed
+    # a stale law.csv of an earlier run in the same directory is overwritten
+    # or removed, and listed only when written
     cfg = _cfg(tmp_path, p=30, n=80, trials=1)
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "law.csv").write_text("stale\n")
@@ -597,7 +598,9 @@ def test_report_lists_law_csv_only_when_written(tmp_path, alpha_limit, listed):
     assert ("law" in artifacts) is listed
     assert set(artifacts) - {"law"} == {"histogram", "report"}
     assert all(Path(path).exists() for path in artifacts.values())
-    assert ((tmp_path / "out" / "law.csv").read_text() == "stale\n") is not listed
+    law_csv = tmp_path / "out" / "law.csv"
+    assert law_csv.exists() is listed
+    assert not listed or law_csv.read_text() != "stale\n"
 
 
 def test_run_experiment_validates_config_with_kernel(tmp_path):
@@ -1054,7 +1057,9 @@ def test_cli_semicircle_rejects_a_flag_its_kernel_does_not_read(tmp_path, capsys
     out = tmp_path / "sc"
     assert cli.main(["semicircle", "--p", "30", "--n", "500", "--trials", "1", "--kernel",
                      kernel, flag, "3", "--out", str(out)]) == 2
-    assert "applies only to" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "applies only to" in err and f"{flag} applies" in err
+    assert "kernel." not in err
     assert not out.exists()
 
 
