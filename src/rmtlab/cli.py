@@ -136,11 +136,10 @@ def _gate(report, prefix=""):
 
 
 def _cmd_semicircle(args):
-    tau = 1.0 if args.tau is None and args.kernel == "gaussian" else args.tau
     try:
         report = harness.semicircle_experiment(
             p=args.p, n=args.n, kernel_variant=args.kernel,
-            kernel_z_alpha=args.z_alpha, kernel_tau=tau, sigma=args.sigma,
+            kernel_z_alpha=args.z_alpha, kernel_tau=args.tau, sigma=args.sigma,
             trials=args.trials, seed=args.seed, out_dir=args.out, check=args.check)
     except ValueError as exc:  # name the flag of a kernel.<key> the config rejects
         key, _, rest = str(exc).partition(" ")

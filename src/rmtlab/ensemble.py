@@ -599,7 +599,7 @@ def _chi_kernel_mean(K: KernelSpec, sigma, k):
     """E K at squared distance 2 sigma^2 Q, Q ~ chi-square(k), for a built-in
     kernel: the chi-square CDF for the indicator, its MGF for the gaussian one.
     Gaussian entries give ||X1 - X2||^2 = 2 sigma^2 Q at k = p."""
-    if K.variant == "constant":
+    if _is_one(K):
         return 1.0
     if K.variant == "indicator":
         return float(special.chdtr(k, K.radius**2 / (2.0 * sigma**2)))
@@ -607,9 +607,9 @@ def _chi_kernel_mean(K: KernelSpec, sigma, k):
 
 
 def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian", mc_samples=10**5, seed=0):
-    """E K(X1, X2): `_chi_kernel_mean` at k = p for the constant kernel and,
-    with Gaussian entries, the other built-in ones; else Monte Carlo."""
-    if K.variant == "constant" or (K.variant != "custom" and entry_law == "gaussian"):
+    """E K(X1, X2): `_chi_kernel_mean` at k = p when `_is_one(K)` and, with
+    Gaussian entries, for the other built-in kernels; else Monte Carlo."""
+    if _is_one(K) or (K.variant != "custom" and entry_law == "gaussian"):
         return _chi_kernel_mean(K, sigma, K.dimension)
     return _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed)[0]
 
@@ -625,7 +625,7 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     exponential moments. Other combinations fall back to Monte Carlo.
     """
     p = K.dimension
-    if K.variant == "constant":
+    if _is_one(K):
         return 1.0
     if K.variant == "indicator" and entry_law == "gaussian":
         return _chi_mean(lambda q: special.chndtr(K.radius**2 / sigma**2, p, q) ** 2, p)
@@ -651,13 +651,13 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, n=None,
 
     For Gaussian entries d12 = 2 sigma^2 Q, Q ~ chi-square(p), and E[K Q] =
     p E K under chi-square(p + 2): the mean is (n-1)/n sigma^2 `_chi_kernel_mean`
-    at k = p + 2, the constant kernel's at any entry law; else Monte Carlo.
+    at k = p + 2, also when `_is_one(K)` at any entry law; else Monte Carlo.
     """
     p = K.dimension
     if n is None or n < 2:
         raise ValueError("expected_mean_eigenvalue needs the sample size n >= 2")
     pref = (n - 1.0) / n
-    if K.variant == "constant" or (K.variant != "custom" and entry_law == "gaussian"):
+    if _is_one(K) or (K.variant != "custom" and entry_law == "gaussian"):
         return float(pref * sigma**2 * _chi_kernel_mean(K, sigma, p + 2))
     def kernel_times_sqdist(x1, x2):
         sq = _sqnorm_diff(x1, x2)

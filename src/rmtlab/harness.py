@@ -66,16 +66,10 @@ class ExperimentConfig:
         return self
 
     def kernel(self) -> ensemble.KernelSpec:
-        v = self.kernel_variant
-        if v == "constant":
-            return ensemble.KernelSpec(variant="constant", dimension=self.p)
-        if v == "gaussian":
-            return ensemble.KernelSpec(variant="gaussian", dimension=self.p,
-                                       tau=self.kernel_tau)
-        if v == "indicator":
-            return ensemble.KernelSpec(variant="indicator", dimension=self.p,
-                                       radius=self.indicator_radius())
-        raise ValueError(f"unsupported kernel variant {v!r} in config")
+        indicator = self.kernel_variant == "indicator"
+        return ensemble.KernelSpec(variant=self.kernel_variant, dimension=self.p,
+                                   tau=self.kernel_tau,
+                                   radius=self.indicator_radius() if indicator else None)
 
     def indicator_radius(self):
         given = [x is not None for x in
@@ -179,12 +173,6 @@ def select_prediction(config: ExperimentConfig, kernel=None):
     c = config.p / config.n
     sigma = config.sigma
     K = _run_kernel(config, kernel)
-    if K.variant == "custom" and config.regime == "proportional":
-        if K.alpha_limit is None:
-            return None, {"kind": "none"}
-        law = laws.MPLaw(c=c, scale=K.alpha_limit * sigma**2)
-        return law, {"kind": "mp", "c": c, "scale": law.scale,
-                     "alpha": K.alpha_limit}
     if config.regime == "semi_high_dim":
         # The centered spectrum is driven by the conditional-mean weights
         # xi_i = E[K(X_i, V) | X_i]; each weight appears twice per pairing in
@@ -201,19 +189,23 @@ def select_prediction(config: ExperimentConfig, kernel=None):
         return law, {"kind": "sc", "c": c, "alpha_p": alpha, "pair_moment": pair_sq,
                      "variance": law.variance}
 
-    if K.variant == "constant":
-        law = laws.MPLaw(c=c, scale=sigma**2)
-        return law, {"kind": "mp", "c": c, "scale": law.scale, "alpha": 1.0}
-    if K.variant == "gaussian":
-        # Smooth-kernel limit: M behaves like (alpha/n) X X^T, whose MP scale
-        # is alpha * sigma^2 (consistent with the fixed-point equation in the
-        # constant-limit case and with the trace of M).
-        alpha = 1.0 - math.exp(-sigma**2 / config.kernel_tau**2)
+    if K.variant != "indicator" or ensemble._is_one(K):
+        # M behaves like (alpha/n) X X^T, a rescaled sample covariance of MP
+        # scale alpha sigma^2: alpha is 1 for a kernel that is 1 everywhere,
+        # the gaussian kernel's smooth limit, or a custom kernel's alpha_limit
+        if ensemble._is_one(K):
+            alpha = 1.0
+        elif K.variant == "gaussian":
+            alpha = 1.0 - math.exp(-sigma**2 / K.tau**2)
+        else:
+            alpha = K.alpha_limit
+        if alpha is None:
+            return None, {"kind": "none"}
         law = laws.MPLaw(c=c, scale=alpha * sigma**2)
-        return law, {"kind": "mp", "c": c, "scale": law.scale, "alpha": alpha,
-                     "tau": config.kernel_tau}
-    # indicator: generalized MP on the default grid of MP(c, sigma^2) unless
-    # the config sets the grid
+        tau = {"tau": K.tau} if K.variant == "gaussian" else {}
+        return law, {"kind": "mp", "c": c, "scale": law.scale, "alpha": alpha, **tau}
+    # finite-radius indicator: generalized MP on the default grid of
+    # MP(c, sigma^2) unless the config sets the grid
     z_alpha = config.indicator_z_alpha()
     zeta = laws.zeta_indicator(z_alpha)
     law = laws.GenMPLaw(c, sigma, zeta, laws.law_grid(
@@ -485,11 +477,13 @@ def semicircle_experiment(p=400, n=20000, kernel_variant="indicator",
                           check=False):
     """Semi-high-dimensional run comparing the centered, rescaled spectrum with
     the predicted semicircle law: run_experiment on the semi_high_dim config
-    of these arguments, so a kernel_z_alpha (0 by default for the indicator)
-    or kernel_tau given to a kernel that does not read it is an error.
-    `threads` is read by nothing, as in run_experiment."""
+    of these arguments, where kernel_z_alpha is 0 for the indicator and
+    kernel_tau 1 for the gaussian kernel by default; either given to a kernel
+    that does not read it is an error. `threads` is read by nothing."""
     if kernel_variant == "indicator" and kernel_z_alpha is None:
         kernel_z_alpha = 0.0
+    if kernel_variant == "gaussian" and kernel_tau is None:
+        kernel_tau = 1.0
     cfg = ExperimentConfig(regime="semi_high_dim", p=p, n=n, sigma=sigma,
                            trials=trials, master_seed=seed,
                            kernel_variant=kernel_variant, kernel_z_alpha=kernel_z_alpha,

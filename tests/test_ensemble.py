@@ -734,8 +734,21 @@ def test_constant_kernel_rank_bound():
 # kernel moments
 # ---------------------------------------------------------------------------
 
-def test_alpha_constant_kernel():
+def _no_monte_carlo(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a kernel that is 1 everywhere took Monte Carlo")
+    monkeypatch.setattr(R, "_mc_sums", fail)
+
+
+# an infinite-radius indicator is 1 everywhere (`_is_one`): its moments are the
+# constant kernel's closed forms at any entry law, with no Monte Carlo
+INFINITE_RADIUS = KernelSpec(variant="indicator", dimension=7, radius=np.inf)
+
+
+def test_alpha_constant_kernel(monkeypatch):
     assert R.alpha_p(KernelSpec(variant="constant", dimension=7)) == 1.0
+    _no_monte_carlo(monkeypatch)
+    assert R.alpha_p(INFINITE_RADIUS, entry_law="rademacher") == 1.0
 
 
 def test_alpha_gaussian_closed_form():
@@ -763,8 +776,11 @@ def test_alpha_monte_carlo_path():
     assert se > 0
 
 
-def test_pair_moment_constant():
+def test_pair_moment_constant(monkeypatch):
     assert R.pair_kernel_moment(KernelSpec(variant="constant", dimension=3)) == 1.0
+    _no_monte_carlo(monkeypatch)
+    for entry_law in ("gaussian", "rademacher"):
+        assert R.pair_kernel_moment(INFINITE_RADIUS, entry_law=entry_law) == 1.0
 
 
 def test_pair_moment_indicator_limit():
@@ -855,11 +871,16 @@ def test_chi_kernel_mean_is_the_chi_square_weighted_kernel_mean(sigma, p, j):
         assert abs(R._chi_kernel_mean(K, sigma, k) - ref) <= 1e-12
 
 
-def test_expected_mean_eigenvalue_closed_forms():
+def test_expected_mean_eigenvalue_closed_forms(monkeypatch):
     n = 400
     assert R.expected_mean_eigenvalue(
         KernelSpec(variant="constant", dimension=30), 1.0, n=n) \
         == pytest.approx((n - 1) / n)
+    with monkeypatch.context() as patch:
+        _no_monte_carlo(patch)
+        assert R.expected_mean_eigenvalue(INFINITE_RADIUS, 1.3, n=n, entry_law="rademacher") \
+            == R.expected_mean_eigenvalue(KernelSpec(variant="constant", dimension=7), 1.3,
+                                          n=n, entry_law="rademacher")
     K = KernelSpec(variant="indicator", dimension=60,
                    radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 60))
     closed = R.expected_mean_eigenvalue(K, 1.0, n=n)

@@ -170,8 +170,9 @@ def test_config_with_bad_grid_is_invalid(tmp_path, grid):
     ("kernel.variant = gaussian\nkernel.tau = 1\nkernel.radius = 3", "radius"),
     ("kernel.variant = constant\nkernel.z_alpha = 0.5", "z_alpha"),
     ("kernel.variant = constant\nkernel.beta = 0.1", "beta"),
+    ("kernel.variant = custom", "custom"),
 ], ids=["beta", "z_alpha", "radius", "tau_nan", "tau_inf", "sigma", "sigma_inf",
-        "radius_on_gaussian", "z_alpha_on_constant", "beta_on_constant"])
+        "radius_on_gaussian", "z_alpha_on_constant", "beta_on_constant", "custom"])
 def test_cli_simulate_rejects_bad_kernel_parameters_before_writing(
         tmp_path, capsys, kernel, name):
     path = tmp_path / "bad.cfg"
@@ -186,11 +187,19 @@ def test_cli_simulate_rejects_bad_kernel_parameters_before_writing(
 # prediction selection
 # ---------------------------------------------------------------------------
 
+# an indicator of infinite radius, however given, is 1 everywhere like the
+# constant kernel (`ensemble._is_one`), so its prediction is the constant's
+INFINITE_RADIUS = [{"kernel_radius": math.inf}, {"kernel_beta": math.inf},
+                   {"kernel_z_alpha": math.inf}]
+
+
 def test_prediction_constant_kernel(tmp_path):
     law, params = harness.select_prediction(_cfg(tmp_path))
-    assert params["kind"] == "mp"
-    assert params["scale"] == 1.0
+    assert params == {"kind": "mp", "c": 0.4, "scale": 1.0, "alpha": 1.0}
     assert law.cdf(10.0) == 1.0
+    for kw in INFINITE_RADIUS:
+        cfg = _cfg(tmp_path, kernel_variant="indicator", **kw)
+        assert harness.select_prediction(cfg)[1] == params
 
 
 def test_prediction_gaussian_kernel_scale(tmp_path):
@@ -232,6 +241,10 @@ def test_prediction_semicircle_variances(tmp_path):
     law, params = harness.select_prediction(cfg_const)
     assert params["kind"] == "sc"
     assert params["variance"] == pytest.approx(1.0)
+    for kw in INFINITE_RADIUS:  # no chi quadrature: 1 exactly
+        cfg = _cfg(tmp_path, regime="semi_high_dim", p=100, n=2000,
+                   kernel_variant="indicator", **kw)
+        assert harness.select_prediction(cfg)[1]["pair_moment"] == 1.0
     cfg_ind = _cfg(tmp_path, regime="semi_high_dim", p=400, n=20000,
                    kernel_variant="indicator", kernel_z_alpha=0.0)
     law2, params2 = harness.select_prediction(cfg_ind)
@@ -643,6 +656,12 @@ def test_figure1_infinite_beta_matches_constant_kernel(tmp_path):
              output_dir=str(tmp_path / "ref")))
     assert reports["inf"]["pooled_ks"] == ref["pooled_ks"]
     assert (tmp_path / "f1" / "beta_inf" / "law_mp.csv").exists()
+    for kw in INFINITE_RADIUS:  # the same M and the same law, not genMP's
+        rep = harness.run_experiment(
+            _cfg(tmp_path, p=60, n=150, trials=2, master_seed=3,
+                 kernel_variant="indicator", output_dir=str(tmp_path / "inf"), **kw))
+        assert rep["law_params"] == ref["law_params"]
+        assert rep["pooled_ks"] == ref["pooled_ks"]
 
 
 def test_figure1_mean_eigenvalue_increases_with_beta(tmp_path):
@@ -704,18 +723,22 @@ def test_semicircle_experiment_constant_kernel(tmp_path):
 
 def test_semicircle_experiment_report_is_run_experiments(tmp_path):
     out = tmp_path / "sc"
-    harness.semicircle_experiment(p=60, n=1000, kernel_variant="indicator",
-                                  kernel_z_alpha=0.0, trials=1, seed=2,
-                                  out_dir=str(out))
-    sc = json.loads((out / "report.json").read_text())
-    cfg = ExperimentConfig(regime="semi_high_dim", p=60, n=1000, trials=1,
-                           master_seed=2, kernel_variant="indicator",
-                           kernel_z_alpha=0.0, output_dir=str(out))
-    harness.run_experiment(cfg)
-    run = json.loads((out / "report.json").read_text())
-    sc.pop("runtime_seconds")
-    run.pop("runtime_seconds")
-    assert sc == run
+    for given, config in [
+            ({"kernel_variant": "indicator", "kernel_z_alpha": 0.0},
+             {"kernel_variant": "indicator", "kernel_z_alpha": 0.0}),
+            # the library call sets tau's default itself, not only the CLI
+            ({"kernel_variant": "gaussian"},
+             {"kernel_variant": "gaussian", "kernel_tau": 1.0})]:
+        harness.semicircle_experiment(p=60, n=1000, trials=1, seed=2,
+                                      out_dir=str(out), **given)
+        sc = json.loads((out / "report.json").read_text())
+        cfg = ExperimentConfig(regime="semi_high_dim", p=60, n=1000, trials=1,
+                               master_seed=2, output_dir=str(out), **config)
+        harness.run_experiment(cfg)
+        run = json.loads((out / "report.json").read_text())
+        sc.pop("runtime_seconds")
+        run.pop("runtime_seconds")
+        assert sc == run
     assert {"predicted_mean_shift", "pooled_ks_shifted"} <= set(run)
 
 
