@@ -116,9 +116,13 @@ class ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line "
                                  f"{seen[key]}")
             seen[key] = lineno
-            values[names[key]] = value
-        return cls(**{k: types[k](v) if types[k] in (str, int) else float(v)
-                      for k, v in values.items()}).validate()
+            kind = types[names[key]]
+            try:
+                values[names[key]] = kind(value) if kind in (str, int) else float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not "
+                                 f"{'an integer' if kind is int else 'a number'}") from None
+        return cls(**values).validate()
 
     def to_file(self, path):
         lines = []
@@ -232,20 +236,15 @@ def _trial_bytes(p, n):
 _TRIALS_BYTES = 2**28
 
 
-def _trial_eigenvalues(config: ExperimentConfig, K, alpha, t):
+def _trial_eigenvalues(config: ExperimentConfig, K, t):
     # a task of `_simulate`'s pool, so the whole trial, its eigensolve too,
     # runs on one BLAS thread whatever other trials do
     seed = ensemble.derive_seed(config.master_seed, t)
     X = ensemble.sample_data_matrix(config.p, config.n, config.entry_law,
                                     config.sigma, seed)
-    if config.regime == "semi_high_dim":
-        # the semi-high-dimensional centering E = sqrt(n/p) (M - alpha sigma^2 I)
-        return spectra.symmetric_eigenvalues(
-            np.sqrt(config.n / config.p) * (ensemble.truncated_covariance(X, K)
-                                            - alpha * config.sigma**2 * np.eye(config.p)))
     lam = spectra.symmetric_eigenvalues(ensemble.truncated_covariance(X, K))
-    # M is PSD with rank <= n - 1: snap its round-off zeros (p > n) onto the
-    # law's atom at 0; eigenvalues further below 0 stay visible
+    # M is PSD with rank <= n - 1: snap its round-off zeros (p > n) onto 0, the
+    # law's atom or, centred, semi_high_dim's floor; lower ones stay visible
     lam[np.abs(lam) <= config.p * np.finfo(float).eps * np.abs(lam).max()] = 0.0
     return lam
 
@@ -259,18 +258,13 @@ def _simulate(runs):
     n <= ensemble.BLOCK as many as OpenBLAS had threads, but no more than
     _TRIALS_BYTES holds by _trial_bytes; with a larger n one at a time, on
     the calling thread, each streaming on every worker. The calling thread
-    builds the laws meanwhile, or first when the pool has one worker; a
-    semi_high_dim run's comes first, since its trials centre by alpha_p."""
-    first = [select_prediction(c, kernel=K) if c.regime == "semi_high_dim" else None
-             for c, K in runs]
-    tasks = [(c, K, pred and pred[1]["alpha_p"], t)
-             for (c, K), pred in zip(runs, first) for t in range(c.trials)]
+    builds the laws meanwhile, or first when the pool has one worker."""
+    tasks = [(c, K, t) for c, K in runs for t in range(c.trials)]
     most = _TRIALS_BYTES // max(_trial_bytes(c.p, c.n) for c, _ in runs) \
         if max(c.n for c, _ in runs) <= ensemble.BLOCK else 1
     with ensemble._pool(most) as workers:
         eigs = workers(lambda _, task: _trial_eigenvalues(*task), lambda: None, tasks)
-        predictions = [pred or select_prediction(c, kernel=K)
-                       for pred, (c, K) in zip(first, runs)]
+        predictions = [select_prediction(c, kernel=K) for c, K in runs]
         eigs = list(eigs)
     done = iter(eigs)
     return [(pred, [next(done) for _ in range(c.trials)])
@@ -305,6 +299,16 @@ def _score(config, K, prediction, eigs, t0, check, write_artifacts):
     """run_experiment's report of a config's trial eigenvalues `eigs`
     against its prediction, with runtime_seconds counted from t0."""
     law, law_params = prediction
+    shift = None
+    if config.regime == "semi_high_dim":
+        # the semicircle's E = sqrt(n/p) (M - alpha_p sigma^2 I) has M's
+        # eigenvalues under this map; at desk sizes they carry a mean offset of
+        # order sqrt(n)/p, from the exact trace of M: score that shift as well
+        root = math.sqrt(config.n / config.p)
+        centre = law_params["alpha_p"] * config.sigma**2
+        eigs = [root * (e - centre) for e in eigs]
+        shift = root * (ensemble.expected_mean_eigenvalue(
+            K, config.sigma, n=config.n, entry_law=config.entry_law) - centre)
     trial_specs = [spectra.esd(e) for e in eigs]
     pooled = spectra.esd(np.concatenate(eigs))
 
@@ -327,13 +331,7 @@ def _score(config, K, prediction, eigs, t0, check, write_artifacts):
         "solver": solver,
         "pooled_mean_eigenvalue": float(np.mean(pooled.eigenvalues)),
     }
-    if config.regime == "semi_high_dim":
-        # at desk sizes the spectrum carries a mean offset of order sqrt(n)/p,
-        # from the exact trace of M: score the law shifted by it as well
-        mean_eig = ensemble.expected_mean_eigenvalue(
-            K, config.sigma, n=config.n, entry_law=config.entry_law)
-        shift = math.sqrt(config.n / config.p) \
-            * (mean_eig - law_params["alpha_p"] * config.sigma**2)
+    if shift is not None:
         report["predicted_mean_shift"] = shift
         report["pooled_ks_shifted"] = spectra.ks_distance(
             pooled, lambda x: law.cdf(np.asarray(x, dtype=float) - shift))
@@ -424,8 +422,8 @@ def figure1(p=200, n=500, sigma=1.0, betas=(-0.1, 0.1, 0.3, math.inf),
             seed=0, trials=1, out_dir="fig1_out", check=False):
     """Indicator-kernel spectra across radius parameters r(beta), with the
     plain MP overlay law_mp.csv and, for finite beta, the generalized-MP
-    overlay; beta = inf is the constant kernel."""
-    runs = [("inf", {"kernel_variant": "constant"}) if math.isinf(beta) else
+    overlay; beta = +inf is the constant kernel."""
+    runs = [("inf", {"kernel_variant": "constant"}) if beta == math.inf else
             (f"{beta:g}", {"kernel_variant": "indicator", "kernel_beta": beta})
             for beta in betas]
     return _sweep(runs, out_dir, "beta_", "law_mp.csv", check,

@@ -42,12 +42,19 @@ def test_summary_verdicts_and_claim_on_canned_pairs():
     wide = [[1.0 + 0.4 * (i % 2), 1.2] for i in range(10)]
     per_pair = {"a": _runs(fast, steady, wide),
                 "b": _runs(steady, [[100.0, 115.0]] * 10, [[2.0, 0.5 + 0.1 * i] for i in range(10)])}
+    # os.wait4 can read a short run's CPU seconds as 0.0: no ratio divides by it
+    per_pair["a"]["sys_s"] = [[0.0, 0.1]] + [[0.1, 0.1]] * 9
+    per_pair["b"]["sys_s"] = [[0.0, 0.0]] * 10
     summary, verdict, claim = bench_pairs.summarise(per_pair, BOUNDS, ("a", "wall_s"))
     a = summary["a"]
     assert (a["pairs"], a["all_correct"], a["failed"]) == (10, True, {"parent": 0, "change": 0})
     assert a["wall_s"]["change_lower_in_pairs"] == 9
     assert a["wall_s"]["ratio"]["median"] == pytest.approx(0.81 / 1.00, abs=0.02)
     assert a["user_s"]["ratio"]["iqr"] == pytest.approx(0.0)
+    assert a["sys_s"]["ratio"]["median"] == pytest.approx(1.0)
+    assert summary["b"]["sys_s"]["ratio"] == {"median": None, "q1": None, "q3": None,
+                                              "iqr": None}
+    assert summary["b"]["sys_s"]["median_change_vs_parent"] is None
     assert verdict["a"]["wall_s"].startswith("within the bound: change median -18.5%")
     assert verdict["a"]["peak_rss_mb"].startswith("within the bound: change median +0.5%")
     assert verdict["a"]["setup_s"].startswith("unresolved: parent IQR 33.3%")

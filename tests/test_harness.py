@@ -131,6 +131,15 @@ def test_config_file_rejects_unknown_key_and_bad_line(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         ExperimentConfig.from_file(old_key)
     assert cli.main(["simulate", "--config", str(old_key)]) == 2
+    # a value that does not parse names its file, line and key, as these do
+    for text, message in (("p = 1e3", "p = '1e3' is not an integer"),
+                          ("sigma = abc", "sigma = 'abc' is not a number")):
+        bad_value = tmp_path / "bad4.cfg"
+        bad_value.write_text(f"n = 400\n{text}\n")
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(bad_value)
+        assert str(err.value) == f"{bad_value}:2: {message}"
+        assert cli.main(["simulate", "--config", str(bad_value)]) == 2
 
 
 def test_config_file_rejects_a_repeated_key(tmp_path):
@@ -632,6 +641,22 @@ def test_run_experiment_wide_matrix_scores_zero_eigenvalues_on_atom(tmp_path):
     assert rep["pooled_ks"] <= 0.05
 
 
+@pytest.mark.parametrize("kw", [{"kernel_variant": "indicator", "kernel_z_alpha": 0.0},
+                                {"kernel_variant": "constant"}],
+                         ids=["indicator", "constant"])
+def test_semi_high_dim_wide_matrix_null_eigenvalues_sit_on_the_floor(tmp_path, kw):
+    # p > n is valid while p^2 > n: the p - n + 1 null eigenvalues of M map
+    # to the floor -sqrt(n/p) alpha_p sigma^2 of the centred spectrum and none
+    # lies below it; centring M before its eigensolve put 11 of 21 below it
+    cfg = _cfg(tmp_path, regime="semi_high_dim", p=60, n=40, trials=1,
+               master_seed=3, **kw)
+    rep = harness.run_experiment(cfg, write_artifacts=False)
+    floor = math.sqrt(40 / 60) * (0.0 - rep["law_params"]["alpha_p"] * cfg.sigma**2)
+    lam = rep["pooled_spectrum"].eigenvalues
+    assert np.all(lam[:60 - 40 + 1] == floor)
+    assert lam.min() >= floor
+
+
 def test_run_experiment_wide_indicator_uses_exact_atom(tmp_path):
     # p > n: the genMP law has the atom 1 - 1/c = 0.6 at 0, the rank deficit
     cfg = _cfg(tmp_path, p=250, n=100, kernel_variant="indicator",
@@ -673,10 +698,12 @@ def test_figure1_mean_eigenvalue_increases_with_beta(tmp_path):
 
 @pytest.mark.parametrize("figure, kw, match", [
     (harness.figure1, {"betas": (0.1, -3.0)}, "beta"),
+    # only +inf is the constant kernel; -inf ran it under the tag inf
+    (harness.figure1, {"betas": (0.1, -math.inf)}, "beta"),
     (harness.figure2, {"taus": (0.5, -1.0)}, "tau"),
     (harness.figure1, {"betas": (0.1, 0.1000001)}, "beta_0.1"),
     (harness.figure2, {"taus": (1, 1.0)}, "tau_1"),
-], ids=["beta", "tau", "beta_tags_alike", "tau_tags_alike"])
+], ids=["beta", "minus_inf_beta", "tau", "beta_tags_alike", "tau_tags_alike"])
 def test_figure_sweep_checks_every_run_before_writing(tmp_path, figure, kw, match):
     # an invalid last run used to leave the earlier runs' files behind, and
     # two values with one printed tag one directory, the second run's files

@@ -19,7 +19,8 @@ recorded with its user and system CPU seconds, taken from `os.wait4` (the
 run and the processes it waited for). The CPU seconds are reported,
 never judged. Each workload's summary gives each side's quartiles, the
 change's median against the parent's, and the per-pair ratio change /
-parent. Each end-to-end metric of BENCHMARK.json gets a verdict
+parent, over the pairs whose parent value is above 0 (null where the
+parent's median or every parent value is 0). Each end-to-end metric of BENCHMARK.json gets a verdict
 against its bound. A metric is unresolved where the parent's IQR is wider
 than the bound, unless every change run beats every parent run. The claimed
 metric is met when the change wins at least nine tenths of its pairs, the
@@ -93,13 +94,17 @@ def summarise(per_pair, bounds, claim=None):
              "failed": dict(zip(SIDES, map(sum, zip(*runs["failed"]))))}
         for m in [*bounds, *CPU]:
             parent, change = (list(col) for col in zip(*runs[m]))
-            ratio = [c / p for p, c in runs[m]]
-            r1, r2, r3 = np.percentile(ratio, [25, 50, 75])
+            # os.wait4 can read a short run's CPU seconds as 0.0: a ratio
+            # takes only the pairs whose parent value is above 0
+            ratio = [c / p for p, c in runs[m] if p > 0]
+            r1, r2, r3 = map(float, np.percentile(ratio, [25, 50, 75])) if ratio \
+                else [None] * 3
             s[m] = {"parent": _stats(parent), "change": _stats(change),
-                    "median_change_vs_parent": float(np.median(change) / np.median(parent) - 1),
+                    "median_change_vs_parent": float(np.median(change) / np.median(parent) - 1)
+                    if np.median(parent) > 0 else None,
                     "change_lower_in_pairs": sum(c < p for p, c in runs[m]),
-                    "ratio": {"median": float(r2), "q1": float(r1), "q3": float(r3),
-                              "iqr": float(r3 - r1)}}
+                    "ratio": {"median": r2, "q1": r1, "q3": r3,
+                              "iqr": None if r1 is None else r3 - r1}}
         summary[w] = s
         verdict[w] = {m: _verdict(*zip(*runs[m]), bound) for m, bound in bounds.items()}
     if claim is None:
