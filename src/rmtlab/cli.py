@@ -177,9 +177,9 @@ def _cmd_law(args):
                              f"--type {args.type}")
     if args.type == "sc":
         law = laws.SCLaw(variance=args.variance)
-        r = 1.1 * law.radius
-        x = laws.law_grid(-r if args.x_lo is None else args.x_lo,
-                          r if args.x_hi is None else args.x_hi, args.points)
+        lo, hi = law.support
+        x = laws.law_grid(1.1 * lo if args.x_lo is None else args.x_lo,
+                          1.1 * hi if args.x_hi is None else args.x_hi, args.points)
     else:
         # genmp takes the harness's default grid, that of MP(c, sigma^2)
         scale = args.scale if args.type == "mp" else args.sigma**2

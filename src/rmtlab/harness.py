@@ -318,10 +318,10 @@ def _score(config, K, prediction, eigs, t0, check, write_artifacts):
     w2_pairs = [spectra.wasserstein2(trial_specs[i], trial_specs[i + 1])
                 for i in range(len(trial_specs) - 1)]
 
-    solver = {"max_residual": law.solution.max_residual,
-              "iterations": law.solution.iterations,
-              "fallback_points": law.solution.fallback_points} \
-        if isinstance(law, laws.GenMPLaw) else None
+    sol = law.solution if law is not None else None
+    solver = None if sol is None else {"max_residual": sol.max_residual,
+                                       "iterations": sol.iterations,
+                                       "fallback_points": sol.fallback_points}
     report = {
         "config": asdict(config),
         "per_trial_ks": per_trial_ks,
@@ -345,7 +345,9 @@ def _score(config, K, prediction, eigs, t0, check, write_artifacts):
         write_histogram_csv(out / "histogram.csv", hist)
         report["artifacts"] = {"histogram": str(out / "histogram.csv")}
         if law is not None:
-            write_law_csv(out / "law.csv", law, _law_grid(law, pooled))
+            lam = pooled.eigenvalues
+            write_law_csv(out / "law.csv", law, law.table_grid(
+                min(0.0, float(lam[0])), float(lam[-1]) * 1.1 + 1e-6))
             report["artifacts"]["law"] = str(out / "law.csv")
         else:  # an earlier run's law.csv would be read as this run's
             (out / "law.csv").unlink(missing_ok=True)
@@ -363,16 +365,6 @@ def check_verdict(report):
     threshold = CHECK_THRESHOLDS[report["law_params"]["kind"]]
     return {"ks": name, "threshold": threshold,
             "breach": bool(report[name] > threshold)}
-
-
-def _law_grid(law, pooled):
-    if isinstance(law, laws.GenMPLaw):
-        return law.grid
-    lo = min(0.0, float(pooled.eigenvalues[0]))
-    hi = float(pooled.eigenvalues[-1]) * 1.1 + 1e-6
-    if isinstance(law, laws.SCLaw):
-        lo, hi = min(lo, -1.05 * law.radius), max(hi, 1.05 * law.radius)
-    return np.linspace(lo, hi, 400)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ class MPLaw:
 
     c: float
     scale: float = 1.0
+    solution = None  # a closed form has no solve statistics
 
     def __post_init__(self):
         if not (0 < self.c < np.inf and 0 < self.scale < np.inf):
@@ -45,21 +46,35 @@ class MPLaw:
         return max(0.0, 1.0 - 1.0 / self.c)
 
     def density(self, x):
-        return mp_density(self, x)
+        """Continuous MP density; its mass is 1 for c <= 1 and 1/c for c > 1."""
+        x = np.asarray(x, dtype=float)
+        a, b = self.support
+        inside = (x > a) & (x < b)
+        out = np.zeros_like(x)
+        xs = x[inside]
+        out[inside] = np.sqrt((b - xs) * (xs - a)) / (2 * np.pi * self.scale * self.c * xs)
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
         return mp_cdf(self, x)
 
+    def stieltjes(self, z):
+        """Root of c*scale*z*s^2 + (c*scale + z - scale)*s + 1 = 0 with Im s > 0."""
+        z = _upper_half_plane(z)
+        c, sc = self.c, self.scale
+        disc = _sqrt_upper((z - sc * (1 + c)) ** 2 - 4 * c * sc**2)
+        s1 = (sc * (1 - c) - z + disc) / (2 * c * sc * z)
+        s2 = (sc * (1 - c) - z - disc) / (2 * c * sc * z)
+        s = np.where(s1.imag > 0, s1, s2)
+        return complex(s) if s.ndim == 0 else s
 
-def mp_density(law: MPLaw, x):
-    """Continuous MP density; its mass is 1 for c <= 1 and 1/c for c > 1."""
-    x = np.asarray(x, dtype=float)
-    a, b = law.support
-    inside = (x > a) & (x < b)
-    out = np.zeros_like(x)
-    xs = x[inside]
-    out[inside] = np.sqrt((b - xs) * (xs - a)) / (2 * np.pi * law.scale * law.c * xs)
-    return out if out.ndim else float(out)
+    def moments(self, k):
+        c = self.c
+        return self.scale**k * {1: 1.0, 2: 1 + c, 3: 1 + 3 * c + c * c}[k]
+
+    def table_grid(self, lo, hi):
+        """A run's law.csv grid, given its spectrum's range [lo, hi]: that range."""
+        return np.linspace(lo, hi, 400)
 
 
 def mp_cdf(law: MPLaw, x):
@@ -80,22 +95,6 @@ def mp_cdf(law: MPLaw, x):
     return out if out.ndim else float(out)
 
 
-def mp_stieltjes(law: MPLaw, z):
-    """Closed-form Stieltjes transform of MP(c, scale) on the upper half-plane.
-
-    Root of c*scale*z*s^2 + (c*scale + z - scale)*s + 1 = 0 with Im s > 0.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise ValueError("mp_stieltjes requires Im z > 0")
-    c, sc = law.c, law.scale
-    disc = _sqrt_upper((z - sc * (1 + c)) ** 2 - 4 * c * sc**2)
-    s1 = (sc * (1 - c) - z + disc) / (2 * c * sc * z)
-    s2 = (sc * (1 - c) - z - disc) / (2 * c * sc * z)
-    s = np.where(s1.imag > 0, s1, s2)
-    return complex(s) if s.ndim == 0 else s
-
-
 # ---------------------------------------------------------------------------
 # Semicircle
 # ---------------------------------------------------------------------------
@@ -105,6 +104,7 @@ class SCLaw:
     """Semicircle law with variance parameter (support [-2 sqrt(var), 2 sqrt(var)])."""
 
     variance: float
+    solution = None  # a closed form has no solve statistics
 
     def __post_init__(self):
         if not 0 < self.variance < np.inf:
@@ -114,20 +114,34 @@ class SCLaw:
     def radius(self):
         return 2.0 * np.sqrt(self.variance)
 
+    @property
+    def support(self):
+        return (-self.radius, self.radius)
+
     def density(self, x):
-        return sc_density(self, x)
+        x = np.asarray(x, dtype=float)
+        v = self.variance
+        inside = np.abs(x) < self.radius
+        out = np.zeros_like(x)
+        out[inside] = np.sqrt(4 * v - x[inside] ** 2) / (2 * np.pi * v)
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
         return sc_cdf(self, x)
 
+    def stieltjes(self, z):
+        """s(z) = (-z + sqrt(z^2 - 4 var)) / (2 var), root of var*s^2 + z*s + 1 = 0."""
+        z = _upper_half_plane(z)
+        s = (-z + _sqrt_upper(z**2 - 4.0 * self.variance)) / (2.0 * self.variance)
+        return complex(s) if s.ndim == 0 else s
 
-def sc_density(law: SCLaw, x):
-    x = np.asarray(x, dtype=float)
-    v = law.variance
-    inside = np.abs(x) < law.radius
-    out = np.zeros_like(x)
-    out[inside] = np.sqrt(4 * v - x[inside] ** 2) / (2 * np.pi * v)
-    return out if out.ndim else float(out)
+    def moments(self, k):
+        return {1: 0.0, 2: self.variance, 3: 0.0}[k]
+
+    def table_grid(self, lo, hi):
+        """A run's law.csv grid: [lo, hi] widened to 1.05 x the support."""
+        r = 1.05 * self.radius
+        return np.linspace(min(lo, -r), max(hi, r), 400)
 
 
 def sc_cdf(law: SCLaw, x):
@@ -148,13 +162,11 @@ def _sqrt_upper(z):
     return np.where(r.imag < 0, -r, r)
 
 
-def sc_stieltjes(z, variance):
-    """s(z) = (-z + sqrt(z^2 - 4 var)) / (2 var), root of var*s^2 + z*s + 1 = 0."""
+def _upper_half_plane(z):
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
-        raise ValueError("sc_stieltjes requires Im z > 0")
-    s = (-z + _sqrt_upper(z**2 - 4.0 * variance)) / (2.0 * variance)
-    return complex(s) if s.ndim == 0 else s
+        raise ValueError("a Stieltjes transform is taken at Im z > 0 only")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +398,7 @@ def solve_stieltjes_grid(z_grid, c, sigma, zeta: ZetaDistribution,
     continued down in height from Im z = _LADDER_TOP (Dobriban, RMTA 2015);
     SolverError if one is still above TOL at its own height.
     """
-    z = np.asarray(z_grid, dtype=complex).ravel()
-    if np.any(z.imag <= 0):
-        raise ValueError("all grid points must have Im z > 0")
+    z = _upper_half_plane(z_grid).ravel()
     s0 = np.full(z.shape, init, dtype=complex) if init is not None \
         else 1j / (1.0 + np.abs(z))
     s, res, iterations = _newton(s0.copy(), z, c, sigma, zeta)
@@ -435,8 +445,8 @@ def stieltjes_invert(s_fn, x_grid, v):
 
 def generalized_mp_cdf(x_grid, density, atom_at_zero=0.0):
     """Monotone CDF from a density grid (trapezoid accumulation) plus an atom
-    at 0, renormalized to total mass 1; raises InversionQualityError when the
-    mass is outside [0.9, 1.1].
+    at 0, renormalized to total mass 1, exactly 1 from max(x_grid[-1], 0) on;
+    raises InversionQualityError when the mass is outside [0.9, 1.1].
     """
     x = np.asarray(x_grid, dtype=float)
     f = np.asarray(density, dtype=float)
@@ -454,9 +464,8 @@ def generalized_mp_cdf(x_grid, density, atom_at_zero=0.0):
 
     def cdf(t):
         t = np.asarray(t, dtype=float)
-        val = np.interp(t, x, cont, left=0.0, right=cont[-1])
-        val = val + np.where(t >= 0, atom, 0.0)
-        out = np.minimum(val, 1.0)
+        val = np.interp(t, x, cont, left=0.0, right=cont[-1]) + np.where(t >= 0, atom, 0.0)
+        out = np.where(t >= max(x[-1], 0.0), 1.0, np.minimum(val, 1.0))
         return out if out.ndim else float(out)
 
     cdf.mass_correction = correction
@@ -514,6 +523,21 @@ class GenMPLaw:
                             ("mass_correction", cdf.mass_correction),
                             ("_cdf", cdf)):
             object.__setattr__(self, name, value)
+
+    @property
+    def support(self):  # the grid's ends: the law's own edges are not computed
+        return (float(self.grid[0]), float(self.grid[-1]))
+
+    def moments(self, k):
+        """From the free cumulants c^(j-1) sigma^(2j) E zeta^j (Nica and
+        Speicher, Lectures on the Combinatorics of Free Probability, 2006)."""
+        c, (z1, z2, z3) = self.c, (self.zeta.moment(j) for j in (1, 2, 3))
+        return self.sigma**(2 * k) * {1: z1, 2: z1 * z1 + c * z2,
+                                      3: z1**3 + 3 * c * z1 * z2 + c * c * z3}[k]
+
+    def table_grid(self, lo, hi):
+        """A run's law.csv grid: the grid the law was solved on."""
+        return self.grid
 
     def density(self, x):
         """Grid density interpolated linearly, zero off the grid."""

@@ -82,7 +82,7 @@ def test_criterion_04_solver_against_closed_form(capsys):
     zeta = laws.ZetaDistribution.point_mass(1.0)
     z = np.linspace(a - 0.2, b + 0.2, 200) + 1e-2j
     sol = laws.solve_stieltjes_grid(z, 0.4, 1.0, zeta)
-    gap = float(np.max(np.abs(sol.values - laws.mp_stieltjes(law, z))))
+    gap = float(np.max(np.abs(sol.values - law.stieltjes(z))))
     rng = np.random.default_rng(0)
     z0 = 1.0 + 0.3j
     inits = [laws.solve_nonsmooth_stieltjes(z0, 0.4, 1.0, zeta,
@@ -103,14 +103,14 @@ def test_criterion_05_inversion_recovers_densities(capsys):
     sc = laws.SCLaw(variance=1.0)
     # interior grids inset by 5% of the support width on each side
     x_sc = np.linspace(-0.9 * sc.radius, 0.9 * sc.radius, 400)
-    f_sc = laws.stieltjes_invert(lambda z: laws.sc_stieltjes(z, 1.0), x_sc, 1e-3)
-    err_sc = float(np.max(np.abs(f_sc - laws.sc_density(sc, x_sc))))
+    f_sc = laws.stieltjes_invert(sc.stieltjes, x_sc, 1e-3)
+    err_sc = float(np.max(np.abs(f_sc - sc.density(x_sc))))
     mp = laws.MPLaw(c=0.4, scale=1.0)
     a, b = mp.support
     inset = 0.05 * (b - a)
     x_mp = np.linspace(a + inset, b - inset, 400)
-    f_mp = laws.stieltjes_invert(lambda z: laws.mp_stieltjes(mp, z), x_mp, 1e-3)
-    err_mp = float(np.max(np.abs(f_mp - laws.mp_density(mp, x_mp))))
+    f_mp = laws.stieltjes_invert(mp.stieltjes, x_mp, 1e-3)
+    err_mp = float(np.max(np.abs(f_mp - mp.density(x_mp))))
     ok = err_sc <= 5e-3 and err_mp <= 5e-3
     _line(capsys, 5, ok,
           f"sc sup-err={err_sc:.2e}, mp sup-err={err_mp:.2e} (each <=5e-3)")

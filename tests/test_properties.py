@@ -11,7 +11,7 @@ from rmtlab.ensemble import (
     sample_data_matrix,
     truncated_covariance,
 )
-from rmtlab.laws import MPLaw, SCLaw, solve_stieltjes_grid, zeta_indicator
+from rmtlab.laws import GenMPLaw, MPLaw, SCLaw, law_grid, solve_stieltjes_grid, zeta_indicator
 from rmtlab.spectra import esd, ks_distance
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -80,9 +80,16 @@ def spectra_with_ties(draw):
 
 @st.composite
 def laws_with_atoms(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["mp", "sc", "genmp"]))
+    if kind == "mp":
         return MPLaw(draw(st.floats(0.1, 4.0)), draw(st.floats(0.2, 3.0)))
-    return SCLaw(draw(st.floats(0.2, 3.0)))
+    if kind == "sc":
+        return SCLaw(draw(st.floats(0.2, 3.0)))
+    # on the default grid rule with 250-400 points: a coarser grid can fail the
+    # inversion's mass check (100 points: near c = 1 at z_alpha <= -0.5)
+    c, sigma = draw(st.floats(0.1, 4.0)), draw(st.floats(0.5, 2.0))
+    return GenMPLaw(c, sigma, zeta_indicator(draw(st.floats(-1.0, 1.5))),
+                    law_grid(None, None, draw(st.integers(250, 400)), c, sigma**2))
 
 
 @SETTINGS
@@ -104,16 +111,20 @@ def test_ks_equals_brute_force_sup(spec, law):
 @SETTINGS
 @hypothesis.given(law=laws_with_atoms())
 def test_law_cdf_monotone_in_unit_interval(law):
-    if isinstance(law, MPLaw):
-        lo, hi = min(0.0, law.support[0]), law.support[1]
-    else:
-        lo, hi = -law.radius, law.radius
+    # an atom at 0 is inside [lo, hi]
+    lo, hi = min(0.0, law.support[0]), law.support[1]
     x = np.linspace(lo - 1.0, hi + 1.0, 2001)
     F = law.cdf(x)
     assert np.all(np.diff(F) >= 0.0)
     assert np.all((F >= 0.0) & (F <= 1.0))
     assert np.all(F[x < lo] == 0.0) and np.all(F[x >= hi] == 1.0)
-    if isinstance(law, MPLaw) and law.c > 1:
-        # the atom at 0 holds all the mass below the lower edge
-        gap = (x >= 0.0) & (x <= law.support[0])
-        assert np.all(F[gap] == law.atom_at_zero)
+
+
+@SETTINGS
+@hypothesis.given(c=st.floats(0.1, 4.0), scale=st.floats(0.2, 3.0))
+def test_mp_cdf_below_the_lower_edge_is_the_atom(c, scale):
+    # the atom at 0 (none for c <= 1) holds all the mass below the lower edge
+    law = MPLaw(c, scale)
+    x = np.linspace(-1.0, law.support[1] + 1.0, 2001)
+    gap = (x >= 0.0) & (x <= law.support[0])
+    assert np.all(law.cdf(x[gap]) == law.atom_at_zero)
