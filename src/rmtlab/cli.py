@@ -1,4 +1,4 @@
-# Command-line front end. Exit codes: 0 success, 2 invalid config,
+# Command-line front end. Exit codes: 0 success, 2 invalid config or path,
 # 3 solver failure, 4 acceptance-threshold breach in --check mode.
 
 import argparse
@@ -218,7 +218,7 @@ def main(argv=None):
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

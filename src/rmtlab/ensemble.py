@@ -549,39 +549,28 @@ def _weighted_gram(W, v, block=BLOCK, workers=_serial):
 # Kernel moments alpha_p = E K(X1, X2) and E K(X1, X2) K(X1, X3)
 # ---------------------------------------------------------------------------
 
-def _mc_sums(f, draws, rng, entry_law, sigma, p, mc_samples):
-    """Sums of f and f^2 over mc_samples Monte Carlo samples.
+# Samples of every kernel-moment Monte Carlo fallback.
+MC_SAMPLES = 10**5
+
+
+def _mc_sum(f, draws, rng, entry_law, sigma, p):
+    """Sum of f over MC_SAMPLES Monte Carlo samples.
 
     Each chunk of m samples draws `draws` fresh p x m entry blocks from `rng`,
     in order, and passes them to f, which returns the m sample values.
     """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    total = total_sq = 0.0
-    chunk = max(1, min(mc_samples, 10**7 // max(p, 1)))
-    for done in range(0, mc_samples, chunk):
-        m = min(chunk, mc_samples - done)
-        vals = f(*[draw_entries(rng, entry_law, sigma, (p, m)) for _ in range(draws)])
-        total += vals.sum()
-        total_sq += (vals**2).sum()
-    return total, total_sq
+    total = 0.0
+    chunk = max(1, min(MC_SAMPLES, 10**7 // max(p, 1)))
+    for done in range(0, MC_SAMPLES, chunk):
+        m = min(chunk, MC_SAMPLES - done)
+        total += f(*[draw_entries(rng, entry_law, sigma, (p, m)) for _ in range(draws)]).sum()
+    return total
 
 
 def _sqnorm_diff(a, b):
     """Squared Euclidean norms of the columns of a - b."""
     d = a - b
     return np.einsum("ij,ij->j", d, d)
-
-
-def _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed):
-    """Monte-Carlo mean and standard error of K(X1, X2)."""
-    total, total_sq = _mc_sums(
-        lambda x1, x2: K.eval_sqdist(_sqnorm_diff(x1, x2)), 2,
-        rng_from_seed(seed), entry_law, sigma, K.dimension, mc_samples)
-    mean = total / mc_samples
-    var = max(total_sq / mc_samples - mean**2, 0.0)
-    se = np.sqrt(var / mc_samples)
-    return float(mean), float(se)
 
 
 def _chi_mean(f, p):
@@ -606,16 +595,17 @@ def _chi_kernel_mean(K: KernelSpec, sigma, k):
     return 1.0 - (1.0 + 2.0 * sigma**2 / (K.dimension * K.tau**2)) ** (-k / 2.0)
 
 
-def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian", mc_samples=10**5, seed=0):
+def alpha_p(K: KernelSpec, sigma=1.0, entry_law="gaussian", seed=0):
     """E K(X1, X2): `_chi_kernel_mean` at k = p when `_is_one(K)` and, with
     Gaussian entries, for the other built-in kernels; else Monte Carlo."""
     if _is_one(K) or (K.variant != "custom" and entry_law == "gaussian"):
         return _chi_kernel_mean(K, sigma, K.dimension)
-    return _kernel_moment_mc(K, entry_law, sigma, mc_samples, seed)[0]
+    total = _mc_sum(lambda x1, x2: K.eval_sqdist(_sqnorm_diff(x1, x2)), 2,
+                    rng_from_seed(seed), entry_law, sigma, K.dimension)
+    return float(total / MC_SAMPLES)
 
 
-def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
-                       mc_samples=10**5, seed=0):
+def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian", seed=0):
     """E K(X1, X2) K(X1, X3) = E xi^2, the second moment of the conditional
     mean xi = E[K(X1, V) | X1].
 
@@ -639,13 +629,13 @@ def pair_kernel_moment(K: KernelSpec, sigma=1.0, entry_law="gaussian",
     def kernel_product(x1, v, v2):
         return K.eval_sqdist(_sqnorm_diff(x1, v)) * K.eval_sqdist(_sqnorm_diff(x1, v2))
 
-    total, _ = _mc_sums(kernel_product, 3, rng_from_seed(seed, stream=(0x9A12,)),
-                        entry_law, sigma, p, mc_samples)
-    return float(total / mc_samples)
+    total = _mc_sum(kernel_product, 3, rng_from_seed(seed, stream=(0x9A12,)),
+                    entry_law, sigma, p)
+    return float(total / MC_SAMPLES)
 
 
 def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, n=None,
-                             entry_law="gaussian", mc_samples=10**5, seed=0):
+                             entry_law="gaussian", seed=0):
     """Exact mean eigenvalue of M: E tr M / p = ((n-1)/(2 n p)) E[K(X1,X2) d12]
     with d12 = ||X1 - X2||^2.
 
@@ -663,9 +653,9 @@ def expected_mean_eigenvalue(K: KernelSpec, sigma=1.0, n=None,
         sq = _sqnorm_diff(x1, x2)
         return K.eval_sqdist(sq) * sq
 
-    total, _ = _mc_sums(kernel_times_sqdist, 2, rng_from_seed(seed, stream=(0x7ACE,)),
-                        entry_law, sigma, p, mc_samples)
-    return float(pref * total / (2.0 * p * mc_samples))
+    total = _mc_sum(kernel_times_sqdist, 2, rng_from_seed(seed, stream=(0x7ACE,)),
+                    entry_law, sigma, p)
+    return float(pref * total / (2.0 * p * MC_SAMPLES))
 
 
 # ---------------------------------------------------------------------------

@@ -477,8 +477,8 @@ def law_grid(x_lo, x_hi, points, c=None, scale=None):
     default in [0, 1.15 x the right edge of MP(c, scale)]."""
     lo = 0.0 if x_lo is None else x_lo
     hi = 1.15 * MPLaw(c=c, scale=scale).support[1] if x_hi is None else x_hi
-    if points < 2 or not hi > lo:
-        raise ValueError(f"a law grid needs >= 2 points and x_hi > x_lo "
+    if points < 2 or not (hi > lo and np.isfinite([lo, hi]).all()):
+        raise ValueError(f"a law grid needs >= 2 points and finite x_hi > x_lo "
                          f"(got {points} points on [{lo}, {hi}])")
     return np.linspace(lo, hi, points)
 

@@ -16,7 +16,6 @@ from rmtlab import ensemble as R
 from oracle import kernel_matrix, pairwise_sqdist, truncated_covariance_direct
 from rmtlab.ensemble import (
     KernelSpec,
-    _kernel_moment_mc,
     covariance_and_stream,
     sample_data_matrix,
     truncated_covariance,
@@ -737,7 +736,18 @@ def test_constant_kernel_rank_bound():
 def _no_monte_carlo(monkeypatch):
     def fail(*args):
         raise AssertionError("a kernel that is 1 everywhere took Monte Carlo")
-    monkeypatch.setattr(R, "_mc_sums", fail)
+    monkeypatch.setattr(R, "_mc_sum", fail)
+
+
+def _alpha_mc(K, entry_law, seed):
+    """alpha_p's Monte Carlo mean and standard error at R.MC_SAMPLES draws,
+    from the sums of K and of K^2 over the same draws of one seed."""
+    def total(power):
+        return R._mc_sum(lambda x1, x2: K.eval_sqdist(R._sqnorm_diff(x1, x2)) ** power,
+                         2, R.rng_from_seed(seed), entry_law, 1.0, K.dimension)
+    mean = total(1) / R.MC_SAMPLES
+    var = max(total(2) / R.MC_SAMPLES - mean**2, 0.0)
+    return float(mean), float(np.sqrt(var / R.MC_SAMPLES))
 
 
 # an infinite-radius indicator is 1 everywhere (`_is_one`): its moments are the
@@ -755,7 +765,7 @@ def test_alpha_gaussian_closed_form():
     K = KernelSpec(variant="gaussian", dimension=200, tau=1.0)
     val = R.alpha_p(K, sigma=1.0)
     assert val == pytest.approx(1.0 - (1.0 + 2.0 / 200) ** (-100), abs=1e-12)
-    mc, se = _kernel_moment_mc(K, "gaussian", 1.0, 10**5, 0)
+    mc, se = _alpha_mc(K, "gaussian", 0)
     assert abs(val - mc) <= 3.0 * se
 
 
@@ -766,11 +776,12 @@ def test_alpha_indicator_tends_to_half():
     assert abs(R.alpha_p(K, sigma=1.0) - 0.5) < 0.02
 
 
-def test_alpha_monte_carlo_path():
+def test_alpha_monte_carlo_path(monkeypatch):
     K = KernelSpec(variant="indicator", dimension=30,
                    radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 30))
     closed = R.alpha_p(K, sigma=1.0)
-    mc, se = _kernel_moment_mc(K, "uniform_centered", 1.0, 4 * 10**4, 1)
+    monkeypatch.setattr(R, "MC_SAMPLES", 4 * 10**4)
+    mc, se = _alpha_mc(K, "uniform_centered", 1)
     # different entry law, but the CLT distance distribution is close at p=30
     assert abs(mc - closed) < 0.05
     assert se > 0
@@ -792,14 +803,15 @@ def test_pair_moment_indicator_limit():
     assert abs(val - laws.zeta_indicator(0.0).moment(2)) < 0.01
 
 
-def test_pair_moment_closed_forms_match_monte_carlo():
+def test_pair_moment_closed_forms_match_monte_carlo(monkeypatch):
+    monkeypatch.setattr(R, "MC_SAMPLES", 2 * 10**5)
     for K in (KernelSpec(variant="indicator", dimension=40,
                          radius=R.indicator_radius_from_z_alpha(0.3, 1.0, 40)),
               KernelSpec(variant="gaussian", dimension=40, tau=0.9)):
         closed = R.pair_kernel_moment(K, sigma=1.0)
         prof = K.eval_sqdist
         K_mc = KernelSpec(variant="custom", dimension=40, profile=prof)
-        mc = R.pair_kernel_moment(K_mc, sigma=1.0, mc_samples=2 * 10**5, seed=3)
+        mc = R.pair_kernel_moment(K_mc, sigma=1.0, seed=3)
         assert abs(closed - mc) < 0.01
 
 
@@ -885,7 +897,8 @@ def test_expected_mean_eigenvalue_closed_forms(monkeypatch):
                    radius=R.indicator_radius_from_z_alpha(0.0, 1.0, 60))
     closed = R.expected_mean_eigenvalue(K, 1.0, n=n)
     K_mc = KernelSpec(variant="custom", dimension=60, profile=K.eval_sqdist)
-    mc = R.expected_mean_eigenvalue(K_mc, 1.0, n=n, mc_samples=2 * 10**5, seed=4)
+    monkeypatch.setattr(R, "MC_SAMPLES", 2 * 10**5)
+    mc = R.expected_mean_eigenvalue(K_mc, 1.0, n=n, seed=4)
     assert closed == pytest.approx(mc, rel=0.02)
 
 
@@ -902,17 +915,8 @@ def test_expected_mean_eigenvalue_matches_simulation():
     assert abs(np.mean(means) - predicted) <= 4.0 * se
 
 
-@pytest.mark.parametrize("moment", [R.pair_kernel_moment,
-                                    lambda K, **kw: R.expected_mean_eigenvalue(K, n=50, **kw)],
-                         ids=["pair_kernel_moment", "expected_mean_eigenvalue"])
-def test_monte_carlo_moments_reject_zero_samples(moment):
-    K = KernelSpec(variant="custom", dimension=5, profile=lambda t: np.exp(-t / 10.0))
-    with pytest.raises(ValueError, match="mc_samples"):
-        moment(K, mc_samples=0)
-
-
 # Seeded Monte Carlo fallbacks, recorded from the chunked loops they replaced:
-# (entry_law, p, mc_samples) -> (alpha_p and its stderr, pair moment, mean
+# (entry_law, p, MC_SAMPLES) -> (alpha_p and its stderr, pair moment, mean
 # eigenvalue at n = 200), custom profile exp(-t/2p), seed 11. The p = 4000
 # case spans two chunks (2500 + 100 samples).
 MC_PINS = {
@@ -932,10 +936,11 @@ MC_PINS = {
 
 
 @pytest.mark.parametrize("entry_law, p, mc_samples", list(MC_PINS))
-def test_monte_carlo_moments_are_pinned(entry_law, p, mc_samples):
+def test_monte_carlo_moments_are_pinned(monkeypatch, entry_law, p, mc_samples):
     K = KernelSpec(variant="custom", dimension=p, profile=lambda t: np.exp(-t / (2.0 * p)))
-    kw = dict(entry_law=entry_law, mc_samples=mc_samples, seed=11)
-    got = (*_kernel_moment_mc(K, entry_law, 1.0, mc_samples, 11),
+    monkeypatch.setattr(R, "MC_SAMPLES", mc_samples)
+    kw = dict(entry_law=entry_law, seed=11)
+    got = (*_alpha_mc(K, entry_law, 11),
            R.pair_kernel_moment(K, 1.0, **kw),
            R.expected_mean_eigenvalue(K, 1.0, n=200, **kw))
     assert all(type(v) is float for v in got)

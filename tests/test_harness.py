@@ -153,10 +153,11 @@ def test_config_file_rejects_a_repeated_key(tmp_path):
 
 
 # one grid point, a descending grid, and an x_lo above the default upper end
-# (1.15 x the MP edge, 3.07 at c = 0.4) used to fail only in the solver, exit 3
+# (1.15 x the MP edge, 3.07 at c = 0.4) used to fail only in the solver, exit 3;
+# an infinite end gave a grid of NaN that failed the mass check after the trials
 @pytest.mark.parametrize("grid", [
     "stieltjes.points = 1", "stieltjes.x_lo = 3\nstieltjes.x_hi = 0.5",
-    "stieltjes.x_lo = 4"])
+    "stieltjes.x_lo = 4", "stieltjes.x_hi = inf", "stieltjes.x_lo = -inf"])
 def test_config_with_bad_grid_is_invalid(tmp_path, grid):
     path = tmp_path / "grid.cfg"
     path.write_text("p = 60\nn = 150\ntrials = 1\nkernel.variant = indicator\n"
@@ -960,6 +961,22 @@ def test_cli_simulate_success(tmp_path, capsys):
 
 def test_cli_simulate_missing_config(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+    # a directory used to exit 1 with an IsADirectoryError traceback
+    assert cli.main(["simulate", "--config", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["law", "--type", "mp", "--out", "FILE/x.csv"],
+    ["semicircle", "--p", "20", "--n", "100", "--trials", "1", "--out", "FILE"],
+    ["diagnostics", "--sizes", "10:30", "--seeds", "1", "--out", "FILE"],
+], ids=["law", "semicircle", "diagnostics"])
+def test_cli_output_under_a_file_is_invalid(tmp_path, monkeypatch, capsys, args):
+    # each used to exit 1 with a FileExistsError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FILE").write_text("kept\n")
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tmp_path / "FILE").read_text() == "kept\n"
 
 
 def test_cli_simulate_invalid_config(tmp_path):
@@ -1054,6 +1071,20 @@ def test_cli_law_failure_while_trials_run_exits_3_and_restores_blas(
     assert not (tmp_path / "cli_out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["figure2", "--taus", "1e-200"], ["figure2", "--taus", "1e200"],
+    ["figure1", "--sigma", "1e200", "--betas", "0.1"],
+], ids=["tau_sq_underflows", "tau_sq_overflows", "sigma_sq_overflows"])
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cli_figure_with_a_square_out_of_range_is_invalid(tmp_path, capsys, args):
+    # each used to exit 1 with a ZeroDivisionError or OverflowError traceback
+    out = tmp_path / "fig"
+    assert cli.main([*args, "--p", "20", "--n", "50", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_linalg_failure_exit_code(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("forced")
@@ -1065,16 +1096,17 @@ def test_cli_linalg_failure_exit_code(monkeypatch):
     ["--type", "mp", "--scale", "inf"], ["--type", "mp", "--c", "nan"],
     ["--type", "sc", "--variance", "inf"], ["--type", "sc", "--variance", "nan"],
     ["--type", "genmp", "--z-alpha", "nan"], ["--type", "genmp", "--c", "inf"],
-    ["--type", "genmp", "--sigma", "inf"],
+    ["--type", "genmp", "--sigma", "inf"], ["--type", "genmp", "--sigma", "1e200"],
     ["--type", "mp", "--variance", "2"], ["--type", "mp", "--z-alpha", "3"],
     ["--type", "sc", "--scale", "5"], ["--type", "sc", "--c", "0.3"],
     ["--type", "genmp", "--variance", "9", "--scale", "3"],
 ], ids=["mp_scale_inf", "mp_c_nan", "sc_variance_inf", "sc_variance_nan",
-        "genmp_z_alpha_nan", "genmp_c_inf", "genmp_sigma_inf", "mp_variance",
-        "mp_z_alpha", "sc_scale", "sc_c", "genmp_variance_scale"])
+        "genmp_z_alpha_nan", "genmp_c_inf", "genmp_sigma_inf", "genmp_sigma_sq_overflows",
+        "mp_variance", "mp_z_alpha", "sc_scale", "sc_c", "genmp_variance_scale"])
 def test_cli_law_rejects_non_finite_parameters_before_writing(tmp_path, args):
-    # these used to exit 0 with nan rows, or 3 after a failed inversion; the
-    # last five, flags the law type does not read, exited 0 ignoring the flag
+    # these used to exit 0 with nan rows, or 3 after a failed inversion, and
+    # a sigma whose square overflows exited 1 with a traceback; the last five,
+    # flags the law type does not read, exited 0 ignoring the flag
     out = tmp_path / "laws" / "law.csv"
     assert cli.main(["law", *args, "--out", str(out)]) == 2
     assert not (tmp_path / "laws").exists()
@@ -1130,7 +1162,7 @@ def test_cli_keeps_the_defaults_of_the_flags_a_run_reads(tmp_path):
 
 @pytest.mark.parametrize("law_type", ["mp", "sc", "genmp"])
 @pytest.mark.parametrize("grid", [["--x-lo", "3", "--x-hi", "0.5"],
-                                  ["--points", "1"]])
+                                  ["--points", "1"], ["--x-hi", "inf"], ["--x-lo=-inf"]])
 def test_cli_law_rejects_bad_grid(tmp_path, law_type, grid):
     out = tmp_path / "law.csv"
     assert cli.main(["law", "--type", law_type, *grid, "--out", str(out)]) == 2
